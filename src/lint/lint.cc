@@ -48,7 +48,7 @@ class PlanLinter {
  public:
   PlanLinter(const Database& db, const PlanLintOptions& opts,
              std::vector<Diagnostic>* out)
-      : db_(db), opts_(opts), out_(out) {}
+      : db_(db), opts_(opts), out_(out), stored_attrs_(db) {}
 
   void Walk(const PlanRef& node) {
     if (node == nullptr) return;
@@ -198,7 +198,7 @@ class PlanLinter {
     }
 
     // §3.1, footnote 2: stored-attribute-only predicates.
-    for (Diagnostic& d : PlanNodeStoredAttrViolations(db_, node)) {
+    for (Diagnostic& d : stored_attrs_.NodeViolations(*node)) {
       d.context = ctx;
       d.source = opts_.pattern_source;
       out_->push_back(std::move(d));
@@ -208,6 +208,7 @@ class PlanLinter {
   const Database& db_;
   const PlanLintOptions& opts_;
   std::vector<Diagnostic>* out_;
+  StoredAttrChecker stored_attrs_;
 };
 
 }  // namespace

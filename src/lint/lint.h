@@ -58,7 +58,7 @@ bool HasErrors(const std::vector<Diagnostic>& diags);
 ///  * AQL009 — operators that provably yield no result (unsatisfiable
 ///    select predicates, empty pattern languages, dead index probes);
 ///  * AQL011 — alphabet-predicates reading computed attributes (§3.1,
-///    footnote 2), via `PlanNodeStoredAttrViolations`;
+///    footnote 2), via `StoredAttrChecker`;
 ///  * plus every pattern-level finding (AQL001–AQL008) from
 ///    `LintListPattern` / `LintTreePattern`, tagged with the operator name;
 ///  * plus, when `opts.absint` (the default), the abstract-interpretation

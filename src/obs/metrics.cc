@@ -164,7 +164,8 @@ Registry::Registry() {
         "exec.executes", "exec.operators_evaluated", "exec.trees_processed",
         "exec.lists_processed", "exec.batched_patterns",
         "exec.batch_scan_rows", "stats.harvests", "stats.evictions",
-        "cost.learned_hits", "cost.learned_misses"}) {
+        "cost.learned_hits", "cost.learned_misses",
+        "lint.attr_scan_cells"}) {
     counters_.emplace(name, std::unique_ptr<Counter>(new Counter(name)));
   }
   for (const char* name :

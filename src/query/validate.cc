@@ -1,9 +1,10 @@
 #include "query/validate.h"
 
 #include <algorithm>
-#include <set>
 #include <utility>
 #include <vector>
+
+#include "obs/metrics.h"
 
 namespace aqua {
 
@@ -52,15 +53,81 @@ void CollectListPatternPreds(const ListPattern& lp,
   }
 }
 
-std::set<TypeId> TypesOfCells(const StoreView& store,
-                              const std::vector<NodePayload>& payloads) {
-  std::set<TypeId> types;
-  for (const NodePayload& p : payloads) {
-    if (!p.is_cell()) continue;
-    auto obj = store.Get(p.oid());
-    if (obj.ok()) types.insert((*obj)->type());
+using TypeSet = std::vector<bool>;
+
+/// True when type `type` declares `attr` with `stored == false`.
+bool DeclaresComputed(const Schema& schema, TypeId type,
+                      const std::string& attr) {
+  const TypeDef* def = *schema.GetType(type);
+  return def->HasAttr(attr) && !def->attrs()[*def->AttrIndex(attr)].stored;
+}
+
+/// Looks up the types of cells, watching for the types that declare some
+/// attribute computed: only their presence can make a predicate
+/// inadmissible, so the scan is done once each of them has been seen.
+class CellTypeScan {
+ public:
+  explicit CellTypeScan(const StoreView& store) : store_(store) {
+    const Schema& schema = store.schema();
+    wanted_.resize(schema.num_types());
+    for (TypeId t = 0; t < wanted_.size(); ++t) {
+      const std::vector<AttrDef>& attrs = (*schema.GetType(t))->attrs();
+      wanted_[t] = std::any_of(attrs.begin(), attrs.end(),
+                               [](const AttrDef& a) { return !a.stored; });
+      if (wanted_[t]) ++missing_;
+    }
+    found_.assign(wanted_.size(), false);
   }
-  return types;
+
+  bool done() const { return missing_ == 0; }
+
+  void Visit(const NodePayload& p) {
+    if (!p.is_cell()) return;
+    ++cells_;
+    auto obj = store_.Get(p.oid());
+    if (!obj.ok()) return;
+    TypeId t = (*obj)->type();
+    if (t < wanted_.size() && wanted_[t] && !found_[t]) {
+      found_[t] = true;
+      --missing_;
+    }
+  }
+
+  /// The wanted types found; counts the cells looked up.
+  TypeSet Finish() {
+    AQUA_OBS_COUNT("lint.attr_scan_cells", cells_);
+    return std::move(found_);
+  }
+
+ private:
+  const StoreView& store_;
+  TypeSet wanted_;
+  TypeSet found_;
+  size_t missing_ = 0;
+  uint64_t cells_ = 0;
+};
+
+TypeSet ComputedTypesIn(const StoreView& store, const Tree& tree) {
+  CellTypeScan scan(store);
+  std::vector<NodeId> stack;
+  if (!tree.empty()) stack.push_back(tree.root());
+  while (!stack.empty() && !scan.done()) {
+    NodeId v = stack.back();
+    stack.pop_back();
+    scan.Visit(tree.payload(v));
+    const std::vector<NodeId>& kids = tree.children(v);
+    stack.insert(stack.end(), kids.begin(), kids.end());
+  }
+  return scan.Finish();
+}
+
+TypeSet ComputedTypesIn(const StoreView& store, const List& list) {
+  CellTypeScan scan(store);
+  for (const NodePayload& p : list.elems()) {
+    if (scan.done()) break;
+    scan.Visit(p);
+  }
+  return scan.Finish();
 }
 
 /// The comparison node that reads `attr`, for span attribution.
@@ -83,44 +150,44 @@ const Predicate* FindCompareOnAttr(const Predicate& pred,
 /// A predicate is admissible when every attribute it reads is *stored* in
 /// every present type that declares it. Types without the attribute are
 /// fine — the predicate simply never matches those objects (§3.1). Each
-/// violation becomes one AQL011 diagnostic.
-void CollectPredicateViolations(const Schema& schema,
-                                const std::set<TypeId>& types,
-                                const Predicate& pred,
-                                std::vector<lint::Diagnostic>* out) {
+/// violation becomes one AQL011 diagnostic, naming the lowest-id present
+/// type that declares the attribute computed.
+///
+/// The schema decides first. `present()` yields the computed-attribute
+/// types that occur in the scanned collections; it is called at most once,
+/// and only when some type declares a read attribute computed.
+template <typename PresentFn>
+std::vector<lint::Diagnostic> Violations(const Schema& schema,
+                                         const std::vector<PredicateRef>& preds,
+                                         PresentFn present) {
+  std::vector<lint::Diagnostic> out;
+  const TypeSet* types = nullptr;
   std::vector<std::string> attrs;
-  pred.CollectAttrs(&attrs);
-  for (const std::string& attr : attrs) {
-    for (TypeId type : types) {
-      auto def = schema.GetType(type);
-      if (!def.ok() || !(*def)->HasAttr(attr)) continue;
-      auto idx = (*def)->AttrIndex(attr);
-      if (!idx.ok()) continue;
-      if (!(*def)->attrs()[*idx].stored) {
+  for (const PredicateRef& pred : preds) {
+    if (pred == nullptr) continue;
+    attrs.clear();
+    pred->CollectAttrs(&attrs);
+    for (const std::string& attr : attrs) {
+      for (TypeId t = 0; t < schema.num_types(); ++t) {
+        if (!DeclaresComputed(schema, t, attr)) continue;
+        if (types == nullptr) types = &present();
+        if (!(*types)[t]) continue;
         lint::Diagnostic d;
         d.code = lint::DiagCode::kComputedAttribute;
         d.severity = lint::DefaultSeverity(d.code);
         d.message =
             "alphabet-predicates may only use stored attributes (§3.1): '" +
-            attr + "' is computed in type '" + (*def)->name() + "'";
-        if (const Predicate* site = FindCompareOnAttr(pred, attr)) {
+            attr + "' is computed in type '" + (*schema.GetType(t))->name() +
+            "'";
+        if (const Predicate* site = FindCompareOnAttr(*pred, attr)) {
           d.span = site->span();
         }
-        out->push_back(std::move(d));
+        out.push_back(std::move(d));
         break;  // one diagnostic per attribute, not per type
       }
     }
   }
-}
-
-void CollectPredsViolations(const StoreView& store,
-                            const std::set<TypeId>& types,
-                            const std::vector<PredicateRef>& preds,
-                            std::vector<lint::Diagnostic>* out) {
-  for (const PredicateRef& pred : preds) {
-    if (pred == nullptr) continue;
-    CollectPredicateViolations(store.schema(), types, *pred, out);
-  }
+  return out;
 }
 
 /// First violation as the legacy Status (message text unchanged).
@@ -129,29 +196,19 @@ Status FirstViolationStatus(const std::vector<lint::Diagnostic>& diags) {
   return Status::InvalidArgument(diags.front().message);
 }
 
+bool ScansCollection(PlanOp op) {
+  return op == PlanOp::kScanTree || op == PlanOp::kScanList ||
+         op == PlanOp::kIndexedSubSelect ||
+         op == PlanOp::kIndexedListSubSelect;
+}
+
 void CollectScanCollections(const PlanRef& node,
                             std::vector<std::string>* out) {
   if (node == nullptr) return;
-  if (node->op == PlanOp::kScanTree || node->op == PlanOp::kScanList ||
-      node->op == PlanOp::kIndexedSubSelect ||
-      node->op == PlanOp::kIndexedListSubSelect) {
-    out->push_back(node->collection);
-  }
+  if (ScansCollection(node->op)) out->push_back(node->collection);
   for (const PlanRef& child : node->children) {
     CollectScanCollections(child, out);
   }
-}
-
-Result<std::set<TypeId>> TypesInCollection(const Database& db,
-                                           const std::string& name) {
-  if (db.HasTree(name)) {
-    AQUA_ASSIGN_OR_RETURN(const Tree* tree, db.GetTree(name));
-    std::vector<NodePayload> payloads;
-    for (NodeId v : tree->Preorder()) payloads.push_back(tree->payload(v));
-    return TypesOfCells(db.store(), payloads);
-  }
-  AQUA_ASSIGN_OR_RETURN(const List* list, db.GetList(name));
-  return TypesOfCells(db.store(), list->elems());
 }
 
 std::vector<PredicateRef> NodeParameterPreds(const PlanNode& node) {
@@ -165,44 +222,76 @@ std::vector<PredicateRef> NodeParameterPreds(const PlanNode& node) {
   return preds;
 }
 
+/// Preorder walk stopping at the first violating node.
+Status ValidateNodes(StoredAttrChecker* checker, const PlanRef& node) {
+  if (node == nullptr) return Status::InvalidArgument("null plan");
+  AQUA_RETURN_IF_ERROR(FirstViolationStatus(checker->NodeViolations(*node)));
+  for (const PlanRef& child : node->children) {
+    AQUA_RETURN_IF_ERROR(ValidateNodes(checker, child));
+  }
+  return Status::OK();
+}
+
 }  // namespace
+
+std::vector<lint::Diagnostic> StoredAttrChecker::NodeViolations(
+    const PlanNode& node) {
+  return Violations(db_.store().schema(), NodeParameterPreds(node),
+                    [&]() -> const TypeSet& { return TypesUnder(node); });
+}
+
+const StoredAttrChecker::TypeSet& StoredAttrChecker::TypesUnder(
+    const PlanNode& node) {
+  auto it = by_node_.find(&node);
+  if (it != by_node_.end()) return it->second;
+  TypeSet types(db_.store().schema().num_types(), false);
+  auto add = [&types](const TypeSet& more) {
+    for (size_t t = 0; t < more.size(); ++t) {
+      if (more[t]) types[t] = true;
+    }
+  };
+  if (ScansCollection(node.op)) add(TypesIn(node.collection));
+  for (const PlanRef& child : node.children) {
+    if (child != nullptr) add(TypesUnder(*child));
+  }
+  return by_node_.emplace(&node, std::move(types)).first->second;
+}
+
+const StoredAttrChecker::TypeSet& StoredAttrChecker::TypesIn(
+    const std::string& collection) {
+  auto it = by_collection_.find(collection);
+  if (it != by_collection_.end()) return it->second;
+  TypeSet types;  // unknown collection: nothing present (AQL012's job)
+  if (db_.HasTree(collection)) {
+    types = ComputedTypesIn(db_.store(), **db_.GetTree(collection));
+  } else if (db_.HasList(collection)) {
+    types = ComputedTypesIn(db_.store(), **db_.GetList(collection));
+  }
+  return by_collection_.emplace(collection, std::move(types)).first->second;
+}
 
 std::vector<lint::Diagnostic> TreePatternStoredAttrViolations(
     const StoreView& store, const Tree& tree, const TreePatternRef& tp) {
-  std::vector<lint::Diagnostic> out;
-  if (tp == nullptr) return out;
-  std::vector<NodePayload> payloads;
-  for (NodeId v : tree.Preorder()) payloads.push_back(tree.payload(v));
+  if (tp == nullptr) return {};
   std::vector<PredicateRef> preds;
   CollectTreePatternPreds(*tp, &preds);
-  CollectPredsViolations(store, TypesOfCells(store, payloads), preds, &out);
-  return out;
+  TypeSet types;
+  return Violations(store.schema(), preds, [&]() -> const TypeSet& {
+    types = ComputedTypesIn(store, tree);
+    return types;
+  });
 }
 
 std::vector<lint::Diagnostic> ListPatternStoredAttrViolations(
     const StoreView& store, const List& list, const AnchoredListPattern& lp) {
-  std::vector<lint::Diagnostic> out;
-  if (lp.body == nullptr) return out;
+  if (lp.body == nullptr) return {};
   std::vector<PredicateRef> preds;
   CollectListPatternPreds(*lp.body, &preds);
-  CollectPredsViolations(store, TypesOfCells(store, list.elems()), preds, &out);
-  return out;
-}
-
-std::vector<lint::Diagnostic> PlanNodeStoredAttrViolations(
-    const Database& db, const PlanRef& node) {
-  std::vector<lint::Diagnostic> out;
-  if (node == nullptr) return out;
-  std::vector<std::string> collections;
-  CollectScanCollections(node, &collections);
-  std::set<TypeId> types;
-  for (const std::string& name : collections) {
-    Result<std::set<TypeId>> in_coll = TypesInCollection(db, name);
-    if (!in_coll.ok()) continue;  // unknown collection: AQL012's job
-    types.insert(in_coll->begin(), in_coll->end());
-  }
-  CollectPredsViolations(db.store(), types, NodeParameterPreds(*node), &out);
-  return out;
+  TypeSet types;
+  return Violations(store.schema(), preds, [&]() -> const TypeSet& {
+    types = ComputedTypesIn(store, list);
+    return types;
+  });
 }
 
 Status ValidateTreePatternAgainst(const StoreView& store, const Tree& tree,
@@ -220,26 +309,16 @@ Status ValidateListPatternAgainst(const StoreView& store, const List& list,
 
 Status ValidatePlanPatterns(const Database& db, const PlanRef& plan) {
   if (plan == nullptr) return Status::InvalidArgument("null plan");
-  // The types this node's parameters are evaluated against: everything in
-  // the collections scanned below it (and by it, for physical index ops).
-  // Unknown collections stay hard errors here, unlike the lint pass.
+  // Unknown collections stay hard errors here, unlike the lint pass. They
+  // are checked by name, since the stored-attribute check below may never
+  // read a collection.
   std::vector<std::string> collections;
   CollectScanCollections(plan, &collections);
-  std::set<TypeId> types;
   for (const std::string& name : collections) {
-    AQUA_ASSIGN_OR_RETURN(std::set<TypeId> in_coll,
-                          TypesInCollection(db, name));
-    types.insert(in_coll.begin(), in_coll.end());
+    if (!db.HasTree(name)) AQUA_RETURN_IF_ERROR(db.GetList(name).status());
   }
-
-  std::vector<lint::Diagnostic> diags;
-  CollectPredsViolations(db.store(), types, NodeParameterPreds(*plan), &diags);
-  AQUA_RETURN_IF_ERROR(FirstViolationStatus(diags));
-
-  for (const PlanRef& child : plan->children) {
-    AQUA_RETURN_IF_ERROR(ValidatePlanPatterns(db, child));
-  }
-  return Status::OK();
+  StoredAttrChecker checker(db);
+  return ValidateNodes(&checker, plan);
 }
 
 }  // namespace aqua

@@ -1,6 +1,8 @@
 #ifndef AQUA_QUERY_VALIDATE_H_
 #define AQUA_QUERY_VALIDATE_H_
 
+#include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
@@ -46,12 +48,35 @@ std::vector<lint::Diagnostic> TreePatternStoredAttrViolations(
 std::vector<lint::Diagnostic> ListPatternStoredAttrViolations(
     const StoreView& store, const List& list, const AnchoredListPattern& lp);
 
-/// Violations for one plan node's own parameters (pred / anchor / patterns),
-/// checked against the types of the collections scanned in its subtree.
-/// Does not recurse into children; unknown collections are skipped (the lint
-/// pass reports those separately as AQL012).
-std::vector<lint::Diagnostic> PlanNodeStoredAttrViolations(
-    const Database& db, const PlanRef& node);
+/// The stored-attribute check over the nodes of one plan. It decides from
+/// the schema first: a node's predicates can only violate §3.1 when some
+/// type declares an attribute they read as computed, and only then are the
+/// scanned collections read to see which such types are present. Cost per
+/// node otherwise: O(predicate attributes x schema types), no collection
+/// access. What a collection holds is cached, so each is read at most once
+/// per checker; an instance lives for one `LintPlan` or
+/// `ValidatePlanPatterns` call.
+class StoredAttrChecker {
+ public:
+  explicit StoredAttrChecker(const Database& db) : db_(db) {}
+
+  /// Violations for one plan node's own parameters (pred / anchor /
+  /// patterns), checked against the types of the collections scanned in its
+  /// subtree. Does not recurse into children; unknown collections are
+  /// skipped (the lint pass reports those separately as AQL012).
+  std::vector<lint::Diagnostic> NodeViolations(const PlanNode& node);
+
+ private:
+  /// Indexed by TypeId: the types with a computed attribute that occur.
+  using TypeSet = std::vector<bool>;
+
+  const TypeSet& TypesUnder(const PlanNode& node);
+  const TypeSet& TypesIn(const std::string& collection);
+
+  const Database& db_;
+  std::unordered_map<const PlanNode*, TypeSet> by_node_;
+  std::unordered_map<std::string, TypeSet> by_collection_;
+};
 
 }  // namespace aqua
 

@@ -3,10 +3,14 @@
 //  * derived operators agree with their split-based definitions;
 //  * the NFA/DFA boolean engines agree with the backtracking matcher;
 //  * select is order-stable (matched nodes keep their preorder order);
-//  * list operators agree with tree operators through the §6 mapping.
+//  * list operators agree with tree operators through the §6 mapping;
+//  * the §3.1 stored-attribute check (AQL011) agrees with an exhaustive
+//    reference over random schemas, collections and predicates.
 #include <gtest/gtest.h>
 
 #include <random>
+#include <set>
+#include <utility>
 
 #include "test_util.h"
 
@@ -343,6 +347,266 @@ TEST_P(PropertiesTest, MatchPiecesContainOnlyMatchedPayloads) {
       EXPECT_EQ(labels[i], "a" + std::to_string(i + 1));
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// §3.1 stored-attribute check (AQL011) against an exhaustive reference.
+
+/// The leftmost comparison in `pred` that reads `attr`.
+const Predicate* LeftmostCompareOn(const Predicate& pred,
+                                   const std::string& attr) {
+  if (pred.kind() == Predicate::Kind::kCompare) {
+    return pred.attr() == attr ? &pred : nullptr;
+  }
+  for (const PredicateRef& side : {pred.left(), pred.right()}) {
+    if (side == nullptr) continue;
+    if (const Predicate* hit = LeftmostCompareOn(*side, attr)) return hit;
+  }
+  return nullptr;
+}
+
+using Finding = std::pair<std::string, SourceSpan>;
+
+/// The AQL011 findings for `preds` over the objects in `collections`, found
+/// the slow way: read every cell, then test each read attribute against
+/// every present type in id order. Unknown collections hold nothing.
+std::vector<Finding> ExhaustiveStoredAttrFindings(
+    const Database& db, const std::vector<std::string>& collections,
+    const std::vector<PredicateRef>& preds) {
+  std::set<TypeId> present;
+  auto add = [&](const NodePayload& p) {
+    if (!p.is_cell()) return;
+    auto obj = db.store().Get(p.oid());
+    if (obj.ok()) present.insert((*obj)->type());
+  };
+  for (const std::string& name : collections) {
+    if (db.HasTree(name)) {
+      const Tree* tree = *db.GetTree(name);
+      for (NodeId v : tree->Preorder()) add(tree->payload(v));
+    } else if (db.HasList(name)) {
+      for (const NodePayload& p : (*db.GetList(name))->elems()) add(p);
+    }
+  }
+  std::vector<Finding> out;
+  for (const PredicateRef& pred : preds) {
+    std::vector<std::string> attrs;
+    pred->CollectAttrs(&attrs);
+    for (const std::string& attr : attrs) {
+      for (TypeId t : present) {
+        const TypeDef* def = *db.store().schema().GetType(t);
+        if (!def->HasAttr(attr) || def->attrs()[*def->AttrIndex(attr)].stored) {
+          continue;
+        }
+        const Predicate* site = LeftmostCompareOn(*pred, attr);
+        out.emplace_back(
+            "alphabet-predicates may only use stored attributes (§3.1): '" +
+                attr + "' is computed in type '" + def->name() + "'",
+            site != nullptr ? site->span() : SourceSpan{});
+        break;
+      }
+    }
+  }
+  return out;
+}
+
+std::vector<Finding> Findings(const std::vector<lint::Diagnostic>& diags) {
+  std::vector<Finding> out;
+  for (const lint::Diagnostic& d : diags) {
+    if (d.code == lint::DiagCode::kComputedAttribute) {
+      out.emplace_back(d.message, d.span);
+    }
+  }
+  return out;
+}
+
+/// Random predicate text over the attribute pool a0..a4.
+std::string RandomPredicateText(std::mt19937_64& rng, int depth) {
+  if (depth <= 0 || rng() % 3 == 0) {
+    return "a" + std::to_string(rng() % 5) + " > " + std::to_string(rng() % 9);
+  }
+  switch (rng() % 3) {
+    case 0:
+      return "(" + RandomPredicateText(rng, depth - 1) + " && " +
+             RandomPredicateText(rng, depth - 1) + ")";
+    case 1:
+      return "(" + RandomPredicateText(rng, depth - 1) + " || " +
+             RandomPredicateText(rng, depth - 1) + ")";
+    default:
+      return "!" + RandomPredicateText(rng, depth - 1);
+  }
+}
+
+/// A database over a random schema: 1-4 types, each declaring a random
+/// subset of a0..a4 with about one attribute in four computed, and two tree
+/// and two list collections, each holding objects of a random non-empty
+/// subset of the types (so some types are absent) plus a few points.
+void BuildRandomAttrDatabase(std::mt19937_64& rng, Database* db) {
+  size_t num_types = 1 + rng() % 4;
+  for (size_t t = 0; t < num_types; ++t) {
+    std::vector<AttrDef> attrs;
+    for (int a = 0; a < 5; ++a) {
+      if (rng() % 2 == 0) continue;
+      attrs.push_back({"a" + std::to_string(a), ValueType::kInt,
+                       /*stored=*/rng() % 4 != 0});
+    }
+    ASSERT_OK(db->store()
+                  .schema()
+                  .RegisterType("T" + std::to_string(t), std::move(attrs))
+                  .status());
+  }
+  auto new_cell = [&](uint64_t mask) -> NodePayload {
+    size_t t;
+    do {
+      t = rng() % num_types;
+    } while ((mask >> t & 1) == 0);
+    auto oid = db->store().Create("T" + std::to_string(t), {});
+    EXPECT_OK(oid.status());
+    return NodePayload::Cell(oid.ok() ? *oid : Oid::Null());
+  };
+  for (int c = 0; c < 2; ++c) {
+    uint64_t mask = 1 + rng() % ((uint64_t{1} << num_types) - 1);
+    Tree tree;
+    std::vector<NodeId> cells = {tree.AddNode(new_cell(mask))};
+    ASSERT_OK(tree.SetRoot(cells[0]));
+    size_t size = rng() % 40;
+    for (size_t i = 0; i < size; ++i) {
+      NodeId parent = cells[rng() % cells.size()];
+      bool point = rng() % 10 == 0;
+      NodeId v = tree.AddNode(point ? NodePayload::ConcatPoint("p")
+                                    : new_cell(mask));
+      ASSERT_OK(tree.AddChild(parent, v));
+      if (!point) cells.push_back(v);
+    }
+    ASSERT_OK(db->RegisterTree("t" + std::to_string(c), std::move(tree)));
+
+    mask = 1 + rng() % ((uint64_t{1} << num_types) - 1);
+    List list;
+    size = rng() % 30;
+    for (size_t i = 0; i < size; ++i) {
+      list.Append(rng() % 10 == 0 ? NodePayload::ConcatPoint("p")
+                                  : new_cell(mask));
+    }
+    ASSERT_OK(db->RegisterList("l" + std::to_string(c), std::move(list)));
+  }
+}
+
+TEST_P(PropertiesTest, StoredAttrCheckAgreesWithExhaustiveScan) {
+  std::mt19937_64 rng(GetParam() * 6151);
+  size_t findings = 0;
+  for (int schema_round = 0; schema_round < 12; ++schema_round) {
+    Database db;
+    BuildRandomAttrDatabase(rng, &db);
+    if (HasFatalFailure()) return;
+    auto pred = [&]() -> PredicateRef {
+      std::string text = RandomPredicateText(rng, 2);
+      auto parsed = ParsePredicate(text);
+      EXPECT_TRUE(parsed.ok()) << text;
+      return parsed.ok() ? *parsed : Predicate::True();
+    };
+    auto tree_coll = [&]() { return "t" + std::to_string(rng() % 2); };
+    auto list_coll = [&]() { return "l" + std::to_string(rng() % 2); };
+
+    for (int round = 0; round < 10; ++round) {
+      // The plan, plus each node's parameter predicates and the collections
+      // scanned in its subtree, in preorder.
+      PlanRef plan;
+      std::vector<std::pair<std::vector<PredicateRef>,
+                            std::vector<std::string>>> nodes;
+      switch (rng() % 6) {
+        case 0: {
+          std::string c = tree_coll();
+          PredicateRef p = pred();
+          plan = Q::TreeSelect(Q::ScanTree(c), p);
+          nodes = {{{p}, {c}}, {{}, {c}}};
+          break;
+        }
+        case 1: {
+          std::string c = list_coll();
+          PredicateRef p = pred();
+          plan = Q::ListSelect(Q::ScanList(c), p);
+          nodes = {{{p}, {c}}, {{}, {c}}};
+          break;
+        }
+        case 2: {
+          std::string c = tree_coll();
+          PredicateRef p1 = pred(), p2 = pred(), p3 = pred();
+          TreePatternRef tp = TreePattern::Node(
+              p1, ListPattern::Concat(
+                      {ListPattern::AnyStar(),
+                       ListPattern::TreeAtom(TreePattern::Leaf(p2)),
+                       ListPattern::AnyStar()}));
+          plan = Q::TreeSelect(Q::TreeSubSelect(Q::ScanTree(c), tp), p3);
+          nodes = {{{p3}, {c}}, {{p1, p2}, {c}}, {{}, {c}}};
+          EXPECT_EQ(Findings(TreePatternStoredAttrViolations(
+                        db.store(), **db.GetTree(c), tp)),
+                    ExhaustiveStoredAttrFindings(db, {c}, {p1, p2}));
+          break;
+        }
+        case 3: {
+          std::string c = list_coll();
+          PredicateRef p1 = pred(), p2 = pred();
+          AnchoredListPattern lp;
+          lp.body = ListPattern::Concat(
+              {ListPattern::Pred(p1),
+               ListPattern::Star(ListPattern::Pred(p2))});
+          plan = Q::ListSubSelect(Q::ScanList(c), lp);
+          nodes = {{{p1, p2}, {c}}, {{}, {c}}};
+          EXPECT_EQ(Findings(ListPatternStoredAttrViolations(
+                        db.store(), **db.GetList(c), lp)),
+                    ExhaustiveStoredAttrFindings(db, {c}, {p1, p2}));
+          break;
+        }
+        case 4: {
+          std::string c = tree_coll();
+          PredicateRef anchor = pred(), p = pred();
+          plan = Q::IndexedSubSelect(c, "a0", anchor, TreePattern::Leaf(p));
+          nodes = {{{anchor, p}, {c}}};
+          break;
+        }
+        default: {
+          // A select over two inputs (one possibly unknown): its predicate
+          // is checked against the union of both collections.
+          std::string c1 = tree_coll();
+          std::string c2 = rng() % 4 == 0 ? "missing" : list_coll();
+          PredicateRef p = pred();
+          auto node = std::make_shared<PlanNode>(
+              *Q::TreeSelect(Q::ScanTree(c1), p));
+          node->children.push_back(Q::ScanList(c2));
+          plan = node;
+          nodes = {{{p}, {c1, c2}}, {{}, {c1}}, {{}, {c2}}};
+          break;
+        }
+      }
+
+      std::vector<Finding> expected;
+      bool unknown = false;
+      for (const auto& [preds, colls] : nodes) {
+        std::vector<Finding> found =
+            ExhaustiveStoredAttrFindings(db, colls, preds);
+        expected.insert(expected.end(), found.begin(), found.end());
+        for (const std::string& c : colls) {
+          unknown = unknown || (!db.HasTree(c) && !db.HasList(c));
+        }
+      }
+      findings += expected.size();
+
+      lint::PlanLintOptions opts;
+      opts.absint = false;
+      EXPECT_EQ(Findings(lint::LintPlan(db, plan, opts)), expected)
+          << Explain(plan) << " seed=" << GetParam();
+      Status st = ValidatePlanPatterns(db, plan);
+      if (unknown) {
+        EXPECT_TRUE(st.IsNotFound()) << st.ToString();
+      } else if (expected.empty()) {
+        EXPECT_OK(st);
+      } else {
+        EXPECT_TRUE(st.IsInvalidArgument());
+        EXPECT_EQ(st.message(), expected.front().first);
+      }
+    }
+  }
+  // The generator must produce violations, not only clean plans.
+  EXPECT_GT(findings, 0u);
 }
 
 }  // namespace

@@ -26,6 +26,13 @@ class LintPlanTest : public ::testing::Test {
                                         {"word_count", ValueType::kInt,
                                          /*stored=*/false}})
                   .status());
+    // `summary` is computed only in `Memo`, which no collection holds.
+    ASSERT_OK(db_.store()
+                  .schema()
+                  .RegisterType("Memo", {{"title", ValueType::kString, true},
+                                         {"summary", ValueType::kString,
+                                          /*stored=*/false}})
+                  .status());
     ASSERT_OK_AND_ASSIGN(
         Oid a, db_.store().Create("Doc", {{"title", Value::String("a")}}));
     ASSERT_OK_AND_ASSIGN(
@@ -122,6 +129,49 @@ TEST_F(LintPlanTest, AQL011ComputedAttribute) {
   }
 }
 
+/// The AQL011 findings of linting `plan`, in emission order.
+std::vector<Diagnostic> Aql011(const Database& db, const PlanRef& plan) {
+  std::vector<Diagnostic> out;
+  for (Diagnostic& d : Lint(db, plan)) {
+    if (d.code == DiagCode::kComputedAttribute) out.push_back(std::move(d));
+  }
+  return out;
+}
+
+TEST_F(LintPlanTest, AQL011NotForComputedAttributeOfAbsentType) {
+  EXPECT_TRUE(Aql011(db_, Q::TreeSubSelect(Q::ScanTree("docs"),
+                                           TP("{summary == \"x\"}")))
+                  .empty());
+  EXPECT_TRUE(Aql011(db_, Q::ListSubSelect(Q::ScanList("doclist"),
+                                           LP("{summary == \"x\"}")))
+                  .empty());
+}
+
+TEST_F(LintPlanTest, AQL011NotForUnreadComputedAttribute) {
+  // `Doc` is present and declares `word_count` computed; nothing reads it.
+  EXPECT_TRUE(
+      Aql011(db_, Q::TreeSelect(Q::ScanTree("docs"), P("title == \"a\"")))
+          .empty());
+}
+
+TEST_F(LintPlanTest, AQL011MessageAndSpan) {
+  const std::string text = "{title == \"a\" && word_count > 1}";
+  auto diags = Aql011(db_, Q::TreeSubSelect(Q::ScanTree("docs"), TP(text)));
+  ASSERT_EQ(diags.size(), 1u);
+  EXPECT_EQ(diags[0].message,
+            "alphabet-predicates may only use stored attributes (§3.1): "
+            "'word_count' is computed in type 'Doc'");
+  EXPECT_EQ(SpanText(text, diags[0].span), "word_count > 1");
+  EXPECT_EQ(diags[0].context, "TreeSubSelect");
+}
+
+TEST_F(LintPlanTest, AQL012ForUnknownCollectionWithStoredPredicate) {
+  auto diags = Lint(db_, Q::TreeSelect(Q::ScanTree("missing"),
+                                       P("title == \"a\"")));
+  EXPECT_TRUE(Has(diags, DiagCode::kUnknownCollection));
+  EXPECT_FALSE(Has(diags, DiagCode::kComputedAttribute));
+}
+
 TEST_F(LintPlanTest, PatternSourceRendersCarets) {
   PlanLintOptions opts;
   opts.pattern_source = "{title == \"a\" && title == \"b\"}";
@@ -147,6 +197,53 @@ TEST_F(LintPlanTest, EmitsObsCounters) {
             diags.size());
   EXPECT_GE(obs::Registry::Global().GetCounter("lint.diag.AQL012")->value(),
             1u);
+#endif
+}
+
+TEST(LintAttrScanTest, NoCellReadWithoutAComputedAttribute) {
+  Database db;
+  ASSERT_OK(db.store()
+                .schema()
+                .RegisterType("Item", {{"name", ValueType::kString, true}})
+                .status());
+  ASSERT_OK_AND_ASSIGN(
+      Oid a, db.store().Create("Item", {{"name", Value::String("a")}}));
+  ASSERT_OK_AND_ASSIGN(
+      Oid b, db.store().Create("Item", {{"name", Value::String("b")}}));
+  Tree tree;
+  NodeId root = tree.AddNode(NodePayload::Cell(a));
+  ASSERT_OK(tree.SetRoot(root));
+  std::vector<NodeId> nodes = {root};
+  for (size_t i = 1; i < 10000; ++i) {
+    NodeId v = tree.AddNode(NodePayload::Cell(i % 2 == 0 ? a : b));
+    ASSERT_OK(tree.AddChild(nodes[(i - 1) / 4], v));
+    nodes.push_back(v);
+  }
+  ASSERT_OK(db.RegisterTree("big", std::move(tree)));
+  auto name_is_a = ParsePredicate("name == \"a\"");
+  ASSERT_OK(name_is_a.status());
+  auto plan = Q::TreeSelect(Q::TreeSelect(Q::ScanTree("big"), *name_is_a),
+                            *name_is_a);
+
+  obs::Registry::set_enabled(true);
+  obs::Counter* cells = obs::Registry::Global().GetCounter(
+      "lint.attr_scan_cells");
+  uint64_t before = cells->value();
+  EXPECT_TRUE(Aql011(db, plan).empty());
+  EXPECT_EQ(cells->value(), before);
+
+#ifndef AQUA_OBS_DISABLED
+  // Once some type declares the read attribute computed, the check must
+  // read the cells: all of them when that type is absent, and once per
+  // collection however many plan nodes read it.
+  ASSERT_OK(db.store()
+                .schema()
+                .RegisterType("Memo", {{"name", ValueType::kString,
+                                        /*stored=*/false}})
+                .status());
+  before = cells->value();
+  EXPECT_TRUE(Aql011(db, plan).empty());
+  EXPECT_EQ(cells->value() - before, 10000u);
 #endif
 }
 

@@ -18,6 +18,13 @@ class ValidateTest : public ::testing::Test {
                                         {"word_count", ValueType::kInt,
                                          /*stored=*/false}})
                   .status());
+    // `summary` is computed only in `Memo`, which no collection holds.
+    ASSERT_OK(db_.store()
+                  .schema()
+                  .RegisterType("Memo", {{"title", ValueType::kString, true},
+                                         {"summary", ValueType::kString,
+                                          /*stored=*/false}})
+                  .status());
     ASSERT_OK_AND_ASSIGN(
         Oid a, db_.store().Create("Doc", {{"title", Value::String("a")}}));
     ASSERT_OK_AND_ASSIGN(
@@ -106,6 +113,69 @@ TEST_F(ValidateTest, PlanValidationWalksScans) {
   EXPECT_TRUE(ValidatePlanPatterns(db_, bad_list).IsInvalidArgument());
 
   EXPECT_TRUE(ValidatePlanPatterns(db_, nullptr).IsInvalidArgument());
+}
+
+TEST_F(ValidateTest, ComputedAttributeOfAbsentTypeIsAllowed) {
+  EXPECT_OK(ValidatePlanPatterns(
+      db_, Q::TreeSubSelect(Q::ScanTree("docs"), TP("{summary == \"x\"}"))));
+  EXPECT_OK(ValidatePlanPatterns(
+      db_, Q::ListSubSelect(Q::ScanList("doclist"), LP("{summary == \"x\"}"))));
+  EXPECT_TRUE(TreePatternStoredAttrViolations(db_.store(), tree_,
+                                              TP("{summary == \"x\"}"))
+                  .empty());
+  EXPECT_TRUE(ListPatternStoredAttrViolations(db_.store(), list_,
+                                              LP("{summary == \"x\"}"))
+                  .empty());
+}
+
+TEST_F(ValidateTest, UnreadComputedAttributeIsAllowed) {
+  // `Doc` is present and declares `word_count` computed; nothing reads it.
+  EXPECT_OK(ValidatePlanPatterns(
+      db_, Q::TreeSelect(Q::ScanTree("docs"),
+                         Predicate::AttrEquals("title", Value::String("a")))));
+  EXPECT_OK(ValidatePlanPatterns(
+      db_, Q::ListSubSelect(Q::ScanList("doclist"), LP("{title == \"a\"}"))));
+}
+
+TEST_F(ValidateTest, ComputedAttributeMessageAndSpan) {
+  const std::string text = "{title == \"a\" && word_count > 1}";
+  const std::string message =
+      "alphabet-predicates may only use stored attributes (§3.1): "
+      "'word_count' is computed in type 'Doc'";
+  auto diags = TreePatternStoredAttrViolations(db_.store(), tree_, TP(text));
+  ASSERT_EQ(diags.size(), 1u);
+  EXPECT_EQ(diags[0].code, lint::DiagCode::kComputedAttribute);
+  EXPECT_EQ(diags[0].message, message);
+  EXPECT_EQ(SpanText(text, diags[0].span), "word_count > 1");
+
+  auto list_diags =
+      ListPatternStoredAttrViolations(db_.store(), list_, LP(text));
+  ASSERT_EQ(list_diags.size(), 1u);
+  EXPECT_EQ(list_diags[0].message, message);
+  EXPECT_EQ(SpanText(text, list_diags[0].span), "word_count > 1");
+
+  Status st = ValidatePlanPatterns(
+      db_, Q::TreeSubSelect(Q::ScanTree("docs"), TP(text)));
+  EXPECT_TRUE(st.IsInvalidArgument());
+  EXPECT_EQ(st.message(), message);
+}
+
+TEST_F(ValidateTest, UnknownCollectionStaysNotFound) {
+  // The schema alone clears a stored-only predicate, so no collection is
+  // read; the unknown collection must still be a hard error.
+  EXPECT_TRUE(
+      ValidatePlanPatterns(db_, Q::TreeSubSelect(Q::ScanTree("missing"),
+                                                 TP("{title == \"a\"}")))
+          .IsNotFound());
+  EXPECT_TRUE(
+      ValidatePlanPatterns(db_, Q::ListSubSelect(Q::ScanList("missing"),
+                                                 LP("{word_count > 1}")))
+          .IsNotFound());
+  // Below a clean operator, too.
+  auto nested = Q::TreeSelect(
+      Q::TreeSubSelect(Q::ScanTree("missing"), TP("{title == \"a\"}")),
+      Predicate::AttrEquals("title", Value::String("a")));
+  EXPECT_TRUE(ValidatePlanPatterns(db_, nested).IsNotFound());
 }
 
 TEST_F(ValidateTest, NullPatternsRejected) {
