@@ -10,16 +10,24 @@ Datum Datum::Scalar(Value v) {
 }
 
 Datum Datum::Of(Tree t) {
-  Datum d;
-  d.kind_ = Kind::kTree;
-  d.tree_ = std::make_shared<const Tree>(std::move(t));
-  return d;
+  return Of(std::make_shared<const Tree>(std::move(t)));
 }
 
 Datum Datum::Of(List l) {
+  return Of(std::make_shared<const List>(std::move(l)));
+}
+
+Datum Datum::Of(std::shared_ptr<const Tree> t) {
+  Datum d;
+  d.kind_ = Kind::kTree;
+  d.tree_ = std::move(t);
+  return d;
+}
+
+Datum Datum::Of(std::shared_ptr<const List> l) {
   Datum d;
   d.kind_ = Kind::kList;
-  d.list_ = std::make_shared<const List>(std::move(l));
+  d.list_ = std::move(l);
   return d;
 }
 

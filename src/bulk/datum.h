@@ -28,6 +28,10 @@ class Datum {
   static Datum Scalar(Value v);
   static Datum Of(Tree t);
   static Datum Of(List l);
+  /// Shares an immutable tree or list instead of copying it (a scan of a
+  /// registered collection aliases the collection itself).
+  static Datum Of(std::shared_ptr<const Tree> t);
+  static Datum Of(std::shared_ptr<const List> l);
   static Datum Tuple(std::vector<Datum> fields);
   /// Builds a set, deduplicating by `Equals` (insertion order kept).
   static Datum Set(std::vector<Datum> elems);

@@ -23,14 +23,6 @@ const char* ValueTypeToString(ValueType type) {
   return "unknown";
 }
 
-bool Value::Equals(const Value& other) const {
-  if (is_numeric() && other.is_numeric()) {
-    if (is_int() && other.is_int()) return int_value() == other.int_value();
-    return as_double() == other.as_double();
-  }
-  return rep_ == other.rep_;
-}
-
 Result<int> Value::Compare(const Value& other) const {
   if (is_null() || other.is_null()) {
     if (is_null() && other.is_null()) return 0;

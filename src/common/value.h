@@ -67,8 +67,15 @@ class Value {
   }
 
   /// Deep (value) equality with int/double numeric coercion.
-  /// Nulls compare equal to nulls only.
-  bool Equals(const Value& other) const;
+  /// Nulls compare equal to nulls only. Inline: it is the compare behind
+  /// every `==`/`!=` alphabet-predicate probe.
+  bool Equals(const Value& other) const {
+    if (is_numeric() && other.is_numeric()) {
+      if (is_int() && other.is_int()) return int_value() == other.int_value();
+      return as_double() == other.as_double();
+    }
+    return rep_ == other.rep_;
+  }
 
   /// Three-way comparison for ordering within one comparable family
   /// (numeric with coercion, string, bool, ref by oid; null sorts first).

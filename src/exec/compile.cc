@@ -418,17 +418,17 @@ PhysicalOpRef Compile(const PlanRef& plan) {
       return std::make_shared<SimpleOp>(
           plan, std::move(children),
           [](ExecContext& ctx, const PlanNode& n) -> Result<Datum> {
-            AQUA_ASSIGN_OR_RETURN(const Tree* tree,
-                                  ctx.db->GetTree(n.collection));
-            return Datum::Of(*tree);
+            AQUA_ASSIGN_OR_RETURN(std::shared_ptr<const Tree> tree,
+                                  ctx.db->ShareTree(n.collection));
+            return Datum::Of(std::move(tree));
           });
     case PlanOp::kScanList:
       return std::make_shared<SimpleOp>(
           plan, std::move(children),
           [](ExecContext& ctx, const PlanNode& n) -> Result<Datum> {
-            AQUA_ASSIGN_OR_RETURN(const List* list,
-                                  ctx.db->GetList(n.collection));
-            return Datum::Of(*list);
+            AQUA_ASSIGN_OR_RETURN(std::shared_ptr<const List> list,
+                                  ctx.db->ShareList(n.collection));
+            return Datum::Of(std::move(list));
           });
     case PlanOp::kTreeSelect:
       return std::make_shared<LambdaFanOutOp>(

@@ -25,6 +25,14 @@ class Object {
   const std::vector<Value>& attrs() const { return attrs_; }
 
   const Value& attr_at(size_t i) const { return attrs_[i]; }
+
+  /// Attribute `attr` read in place, or null when this object's type (as
+  /// declared in `schema`) lacks it.
+  const Value* FindAttr(const Schema& schema, AttrId attr) const {
+    const TypeDef* def = schema.FindType(type_);
+    int32_t slot = def == nullptr ? -1 : def->SlotOf(attr);
+    return slot < 0 ? nullptr : &attrs_[static_cast<size_t>(slot)];
+  }
   void set_attr_at(size_t i, Value v) { attrs_[i] = std::move(v); }
 
  private:

@@ -1,11 +1,22 @@
 #include "object/schema.h"
 
+#include "common/mutex.h"
+
 namespace aqua {
+
+AttrId InternAttrName(const std::string& name) {
+  static Mutex mu;
+  static std::unordered_map<std::string, AttrId> ids;
+  MutexLock lock(mu);
+  return ids.emplace(name, static_cast<AttrId>(ids.size())).first->second;
+}
 
 TypeDef::TypeDef(std::string name, std::vector<AttrDef> attrs)
     : name_(std::move(name)), attrs_(std::move(attrs)) {
+  attr_ids_.reserve(attrs_.size());
   for (size_t i = 0; i < attrs_.size(); ++i) {
     index_.emplace(attrs_[i].name, i);
+    attr_ids_.push_back(InternAttrName(attrs_[i].name));
   }
 }
 

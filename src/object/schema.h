@@ -17,6 +17,20 @@ using TypeId = uint32_t;
 
 inline constexpr TypeId kInvalidType = static_cast<TypeId>(-1);
 
+/// Process-wide id of an attribute *name*. Every attribute a `TypeDef`
+/// declares and every attribute a `Predicate` reads is interned once, at
+/// construction, so the hot read path (`StoreView::FindAttr`) resolves a
+/// predicate's attribute in an object's type by comparing small integers
+/// instead of hashing the name. Ids are global rather than per schema, so
+/// one parsed predicate evaluates against any schema.
+using AttrId = uint32_t;
+
+/// Returns the id of `name`, assigning the next id on first sight. Thread
+/// safe (one internal mutex); call it at construction time, never per
+/// probe. Ids are never reused or freed: the table grows with the number
+/// of distinct attribute names the process has seen.
+AttrId InternAttrName(const std::string& name);
+
 /// Declaration of one attribute of an object type.
 ///
 /// The `stored` flag mirrors §3.1 of the paper: alphabet-predicates may only
@@ -43,9 +57,20 @@ class TypeDef {
   /// True when the type declares `attr_name`.
   bool HasAttr(const std::string& attr_name) const;
 
+  /// Positional index of the attribute with interned id `id`, or -1 when
+  /// the type lacks it. A scan over the type's few attribute ids: no
+  /// hashing, no allocation.
+  int32_t SlotOf(AttrId id) const {
+    for (size_t i = 0; i < attr_ids_.size(); ++i) {
+      if (attr_ids_[i] == id) return static_cast<int32_t>(i);
+    }
+    return -1;
+  }
+
  private:
   std::string name_;
   std::vector<AttrDef> attrs_;
+  std::vector<AttrId> attr_ids_;  // parallel to attrs_
   std::unordered_map<std::string, size_t> index_;
 };
 
@@ -62,6 +87,10 @@ class Schema {
   Result<TypeId> TypeIdOf(const std::string& name) const;
   Result<const TypeDef*> GetType(TypeId id) const;
   Result<const TypeDef*> GetType(const std::string& name) const;
+  /// `GetType` without the status: null for an unknown id.
+  const TypeDef* FindType(TypeId id) const {
+    return id < types_.size() ? &types_[id] : nullptr;
+  }
 
   size_t num_types() const { return types_.size(); }
 

@@ -56,6 +56,19 @@ class StoreView {
   /// Reads one attribute by name, as of this epoch.
   Result<Value> GetAttr(Oid oid, const std::string& attr) const;
 
+  /// Reads one attribute in place, as of this epoch: null when `oid` names
+  /// no object here or its type lacks the attribute (exactly the cases in
+  /// which `GetAttr` fails). The pointer is stable for the view's lifetime.
+  /// This is predicate evaluation's hot path: no name hashing, no `Value`
+  /// copy, no status.
+  const Value* FindAttr(Oid oid, AttrId attr) const {
+    if (!Contains(oid)) return nullptr;
+    size_t index = oid.value - 1;
+    return version_->chunks[index >> kStoreChunkShift]
+        ->objects[index & kStoreChunkMask]
+        .FindAttr(*version_->schema, attr);
+  }
+
   /// All objects of the given type at this epoch, in creation order. The
   /// returned extent is version-owned: holding it keeps the oid list alive
   /// and stable even across later commits.

@@ -87,7 +87,7 @@ PredicateRef PredicateInterner::Intern(const PredicateRef& pred) {
   return node;
 }
 
-uint32_t PredicateAlphabet::InternAttr(const std::string& attr) {
+uint32_t PredicateAlphabet::InternAttr(AttrId attr) {
   auto it = attr_col_.find(attr);
   if (it != attr_col_.end()) return it->second;
   uint32_t col = static_cast<uint32_t>(attrs_.size());
@@ -96,9 +96,10 @@ uint32_t PredicateAlphabet::InternAttr(const std::string& attr) {
   return col;
 }
 
-uint32_t PredicateAlphabet::InternLeaf(const std::string& attr, CmpOp op,
-                                       const Value& c) {
-  std::string key = attr;
+uint32_t PredicateAlphabet::InternLeaf(const Predicate& leaf) {
+  const CmpOp op = leaf.op();
+  const Value& c = leaf.constant();
+  std::string key = leaf.attr();
   key += '\x01';
   key += static_cast<char>('0' + static_cast<int>(op));
   key += '\x01';
@@ -108,7 +109,7 @@ uint32_t PredicateAlphabet::InternLeaf(const std::string& attr, CmpOp op,
   auto it = leaf_key_.find(key);
   if (it != leaf_key_.end()) return it->second;
   uint32_t id = static_cast<uint32_t>(leaves_.size());
-  leaves_.push_back(Leaf{InternAttr(attr), op, c});
+  leaves_.push_back(Leaf{InternAttr(leaf.attr_id()), op, c});
   leaf_key_.emplace(std::move(key), id);
   return id;
 }
@@ -130,8 +131,7 @@ void PredicateAlphabet::CompileProgram(const Predicate& p,
       prog->push_back({Instr::kTrue, 0});
       return;
     case Predicate::Kind::kCompare:
-      prog->push_back(
-          {Instr::kLeaf, InternLeaf(p.attr(), p.op(), p.constant())});
+      prog->push_back({Instr::kLeaf, InternLeaf(p)});
       return;
     case Predicate::Kind::kAnd:
     case Predicate::Kind::kOr:
@@ -168,34 +168,16 @@ void PredicateAlphabet::Gather(const StoreView& store, const Oid* oids,
     col.b.resize(n);
     col.ref.resize(n);
   }
-  const Schema* schema = store.valid() ? &store.schema() : nullptr;
-  if (s->schema_key != schema) {
-    s->attr_pos.clear();
-    s->schema_key = schema;
-  }
-  s->attr_pos.resize(attrs_.size());
+  if (!store.valid()) return;
+  const Schema& schema = store.schema();
 
   for (size_t i = 0; i < n; ++i) {
     Result<const Object*> obj = store.Get(oids[i]);
     if (!obj.ok()) continue;
-    TypeId type = (*obj)->type();
     for (size_t c = 0; c < attrs_.size(); ++c) {
-      std::vector<int32_t>& pos = s->attr_pos[c];
-      if (type >= pos.size()) pos.resize(type + 1, -2);
-      int32_t idx = pos[type];
-      if (idx == -2) {
-        idx = -1;
-        if (schema != nullptr) {
-          Result<const TypeDef*> def = schema->GetType(type);
-          if (def.ok()) {
-            Result<size_t> at = (*def)->AttrIndex(attrs_[c]);
-            if (at.ok()) idx = static_cast<int32_t>(*at);
-          }
-        }
-        pos[type] = idx;
-      }
-      if (idx < 0) continue;
-      const Value& v = (*obj)->attr_at(static_cast<size_t>(idx));
+      const Value* found = (*obj)->FindAttr(schema, attrs_[c]);
+      if (found == nullptr) continue;
+      const Value& v = *found;
       AlphabetScratch::Column& col = s->cols[c];
       switch (v.type()) {
         case ValueType::kNull:

@@ -44,8 +44,7 @@ class PredicateInterner {
 
 /// Reusable buffers for one columnar alphabet evaluation. Matching mutates
 /// the scratch, so instances are per-worker (mirroring `LazyDfa`); the
-/// buffers and the attribute-position cache then amortize across all the
-/// morsels one worker scans.
+/// buffers then amortize across all the morsels one worker scans.
 struct AlphabetScratch {
   /// Struct-of-arrays gather of one attribute over the batch. `tag` is the
   /// type tag per item (kNone when the object, the attribute, or the value
@@ -74,12 +73,6 @@ struct AlphabetScratch {
 
   /// Packed result: `stride` words per item, bit p = alphabet predicate p.
   std::vector<uint64_t> sigs;
-
-  /// Attribute-position cache: per alphabet attribute, the attr index in
-  /// each `TypeId`'s `TypeDef` (-1 when the type lacks the attribute).
-  /// Valid for one schema; reset when a different schema shows up.
-  std::vector<std::vector<int32_t>> attr_pos;
-  const void* schema_key = nullptr;
 
   /// Element staging used by the multi-pattern list scan (`MultiNfa`).
   std::vector<Oid> oids;
@@ -133,8 +126,8 @@ class PredicateAlphabet {
     uint32_t arg;
   };
 
-  uint32_t InternAttr(const std::string& attr);
-  uint32_t InternLeaf(const std::string& attr, CmpOp op, const Value& c);
+  uint32_t InternAttr(AttrId attr);
+  uint32_t InternLeaf(const Predicate& leaf);
   void CompileProgram(const Predicate& p, std::vector<Instr>* prog);
   void Gather(const StoreView& store, const Oid* oids, size_t n,
               AlphabetScratch* s) const;
@@ -144,8 +137,8 @@ class PredicateAlphabet {
   PredicateInterner interner_;
   std::vector<PredicateRef> preds_;
   std::unordered_map<const Predicate*, uint32_t> slot_of_;
-  std::vector<std::string> attrs_;
-  std::unordered_map<std::string, uint32_t> attr_col_;
+  std::vector<AttrId> attrs_;  // one gathered column per attribute
+  std::unordered_map<AttrId, uint32_t> attr_col_;
   std::vector<Leaf> leaves_;
   std::unordered_map<std::string, uint32_t> leaf_key_;
   std::vector<std::vector<Instr>> progs_;

@@ -2,6 +2,7 @@
 #define AQUA_QUERY_DATABASE_H_
 
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -37,6 +38,14 @@ class Database {
   Result<const Tree*> GetTree(const std::string& name) const;
   Result<const List*> GetList(const std::string& name) const;
 
+  /// The registered collection itself, shared rather than copied: this is
+  /// what a scan returns. Registered collections are never mutated, so the
+  /// handle may be read from any thread, and it keeps the collection alive
+  /// on its own (results stay valid after the executor, or the database,
+  /// is gone).
+  Result<std::shared_ptr<const Tree>> ShareTree(const std::string& name) const;
+  Result<std::shared_ptr<const List>> ShareList(const std::string& name) const;
+
   /// Builds an attribute index over a registered collection (dispatches on
   /// the collection kind).
   Status CreateIndex(const std::string& collection, const std::string& attr);
@@ -48,8 +57,9 @@ class Database {
  private:
   ObjectStore store_;
   IndexManager indexes_;
-  std::map<std::string, Tree> trees_;
-  std::map<std::string, List> lists_;
+  // Immutable once registered; scans share them (see ShareTree).
+  std::map<std::string, std::shared_ptr<const Tree>> trees_;
+  std::map<std::string, std::shared_ptr<const List>> lists_;
 };
 
 }  // namespace aqua

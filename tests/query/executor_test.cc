@@ -61,6 +61,43 @@ TEST_F(ExecutorTest, ScanReturnsCollection) {
   EXPECT_TRUE(exec.Execute(Q::ScanList("t")).status().IsNotFound());
 }
 
+TEST_F(ExecutorTest, ScanSharesTheRegisteredCollection) {
+  Datum tree;
+  Datum list;
+  {
+    Executor exec(&db_);
+    ASSERT_OK_AND_ASSIGN(tree, exec.Execute(Q::ScanTree("t")));
+    ASSERT_OK_AND_ASSIGN(list, exec.Execute(Q::ScanList("l")));
+    ASSERT_OK_AND_ASSIGN(const Tree* registered_tree, db_.GetTree("t"));
+    ASSERT_OK_AND_ASSIGN(const List* registered_list, db_.GetList("l"));
+    // No copy: the result aliases the registered collection.
+    EXPECT_EQ(&tree.tree(), registered_tree);
+    EXPECT_EQ(&list.list(), registered_list);
+    ASSERT_OK_AND_ASSIGN(Datum again, exec.Execute(Q::ScanTree("t")));
+    EXPECT_EQ(&again.tree(), registered_tree);
+  }
+  // The executor is gone; the results stay valid.
+  EXPECT_EQ(Str(tree), "r(b(d e) x(b(d f)))");
+  EXPECT_EQ(Str(list), "[a x a y]");
+}
+
+TEST_F(ExecutorTest, ScanResultOutlivesTheDatabase) {
+  Datum tree;
+  {
+    Database db;
+    ASSERT_OK(RegisterItemType(db.store()));
+    AtomFn atom = MakeInterningAtomFn(&db.store(), "Item", "name");
+    ASSERT_OK_AND_ASSIGN(Tree t, ParseTreeLiteral("r(a b(c))", atom));
+    ASSERT_OK(db.RegisterTree("t", std::move(t)));
+    Executor exec(&db);
+    ASSERT_OK_AND_ASSIGN(tree, exec.Execute(Q::ScanTree("t")));
+  }
+  // The datum holds its own reference to the collection.
+  ASSERT_TRUE(tree.is_tree());
+  EXPECT_EQ(tree.tree().size(), 4u);
+  EXPECT_EQ(tree.tree().arity(tree.tree().root()), 2u);
+}
+
 TEST_F(ExecutorTest, TreeSubSelectOverScan) {
   Executor exec(&db_);
   ASSERT_OK_AND_ASSIGN(Datum out,
