@@ -47,6 +47,20 @@ class TreeMatcherTest : public testing::AquaTestBase {
   Tree tree_;
 };
 
+TEST_F(TreeMatcherTest, DepthGuardBoundsChildrenSequences) {
+  // A children sequence nests one engine level per child it consumes, so
+  // `max_depth` bounds a wide node as it bounds a deep tree: `r(?*)` over
+  // n children nests n + 2 levels.
+  TreeMatchOptions opts;
+  opts.max_depth = 8;
+  EXPECT_EQ(Find("r(a a a a a a)", "r(?*)", opts).size(), 1u);
+  tree_ = T("r(a a a a a a a)");
+  TreeMatcher matcher(store_, tree_, opts);
+  auto refused = matcher.FindAll(TP("r(?*)"));
+  EXPECT_TRUE(refused.status().IsInvalidArgument())
+      << refused.status().ToString();
+}
+
 TEST_F(TreeMatcherTest, LeafPatternMatchesEveryNodeWithThatName) {
   auto matches = Find("a(b a(b))", "b");
   ASSERT_EQ(matches.size(), 2u);
