@@ -2,7 +2,8 @@
 //
 // The same boolean query ("does this song contain the melody?") through
 // three engines: the backtracking matcher, Thompson NFA simulation, and the
-// lazily-determinized DFA (compiled once, amortized across the corpus).
+// lazily-determinized DFA (compiled once, amortized across the corpus). The
+// two automata are the one-pattern search `MultiNfa` and `LazyMultiDfa`.
 // Sweeps song length and pattern complexity. Expected shape: backtracking
 // is fine for short patterns, NFA is robustly linear, DFA wins on corpus
 // scans once its transitions are hot.
@@ -83,12 +84,13 @@ void BM_ListMatch_Backtracking(benchmark::State& state) {
 void BM_ListMatch_Nfa(benchmark::State& state) {
   ObjectStore store;
   auto corpus = MakeCorpus(store, 32, static_cast<size_t>(state.range(0)));
-  Nfa nfa = OrDie(Nfa::CompileSearch(PatternFor(state.range(1)).body));
+  MultiNfa nfa =
+      OrDie(MultiNfa::CompileSearch({PatternFor(state.range(1)).body}));
   size_t hits = 0;
   for (auto _ : state) {
     hits = 0;
     for (const List& song : corpus) {
-      if (nfa.ExistsMatch(store, song)) ++hits;
+      if (nfa.MatchAll(store, song) != 0) ++hits;
     }
     benchmark::DoNotOptimize(hits);
   }
@@ -99,13 +101,14 @@ void BM_ListMatch_Nfa(benchmark::State& state) {
 void BM_ListMatch_LazyDfa(benchmark::State& state) {
   ObjectStore store;
   auto corpus = MakeCorpus(store, 32, static_cast<size_t>(state.range(0)));
-  Nfa nfa = OrDie(Nfa::CompileSearch(PatternFor(state.range(1)).body));
-  LazyDfa dfa = OrDie(LazyDfa::Make(&nfa));
+  MultiNfa nfa =
+      OrDie(MultiNfa::CompileSearch({PatternFor(state.range(1)).body}));
+  LazyMultiDfa dfa = OrDie(LazyMultiDfa::Make(&nfa));
   size_t hits = 0;
   for (auto _ : state) {
     hits = 0;
     for (const List& song : corpus) {
-      if (dfa.ExistsMatch(store, song)) ++hits;
+      if (dfa.MatchAll(store, song) != 0) ++hits;
     }
     benchmark::DoNotOptimize(hits);
   }

@@ -60,12 +60,12 @@ int main() {
   // Boolean corpus scan: which songs contain the melody at all? The NFA
   // runs in O(notes x states); the lazy DFA amortizes to a table lookup
   // per note across the corpus.
-  Nfa nfa = OrDie(Nfa::CompileSearch(melody.body));
-  LazyDfa dfa = OrDie(LazyDfa::Make(&nfa));
+  MultiNfa nfa = OrDie(MultiNfa::CompileSearch({melody.body}));
+  LazyMultiDfa dfa = OrDie(LazyMultiDfa::Make(&nfa));
   size_t nfa_hits = 0, dfa_hits = 0;
   for (const List& song : corpus) {
-    if (nfa.ExistsMatch(store, song)) ++nfa_hits;
-    if (dfa.ExistsMatch(store, song)) ++dfa_hits;
+    if (nfa.MatchAll(store, song) != 0) ++nfa_hits;
+    if (dfa.MatchAll(store, song) != 0) ++dfa_hits;
   }
   std::cout << "songs containing [A??F]: " << nfa_hits << "/" << corpus.size()
             << " (NFA) == " << dfa_hits << " (DFA), "

@@ -2,7 +2,7 @@
 
 #include "bulk/concat.h"
 #include "obs/metrics.h"
-#include "pattern/nfa.h"
+#include "pattern/multi.h"
 
 namespace aqua {
 
@@ -155,12 +155,13 @@ Result<Datum> ListSubSelectIndexed(const StoreView& store, const List& list,
   AQUA_ASSIGN_OR_RETURN(PredicateRef head, ExtractHeadPredicate(pattern.body));
   AQUA_ASSIGN_OR_RETURN(std::vector<NodeId> candidates, index.Probe(*head));
   // Dense candidate sets approach a full backtracking scan, so a one-pass
-  // NFA existence check (whose language over-approximates the matcher's)
-  // pays for itself by proving "no match" early. Sparse candidate sets
-  // skip it: probing a handful of begins is already cheaper than the scan.
+  // automaton existence check (whose language over-approximates the
+  // matcher's) pays for itself by proving "no match" early. Sparse
+  // candidate sets skip it: probing a handful of begins is already cheaper
+  // than the scan.
   if (candidates.size() * 16 >= list.size()) {
-    auto nfa = Nfa::CompileSearch(pattern.body);
-    if (nfa.ok() && !nfa->ExistsMatch(store, list)) {
+    auto nfa = MultiNfa::CompileSearch({pattern.body});
+    if (nfa.ok() && nfa->MatchAll(store, list) == 0) {
       AQUA_OBS_COUNT("pattern.nfa_prefilter_rejects", 1);
       return Datum::Set({});
     }

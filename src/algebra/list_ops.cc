@@ -2,8 +2,7 @@
 
 #include "bulk/concat.h"
 #include "obs/metrics.h"
-#include "pattern/dfa.h"
-#include "pattern/nfa.h"
+#include "pattern/multi.h"
 
 namespace aqua {
 
@@ -104,30 +103,28 @@ Result<Datum> ListSplit(const StoreView& store, const List& list,
 Result<Datum> ListSubSelect(const StoreView& store, const List& list,
                             const AnchoredListPattern& lp,
                             const ListSplitOptions& opts) {
-  // NFA existence prefilter: the Thompson NFA's language is a superset of
+  // Existence prefilter: the search automaton's language is a superset of
   // the backtracking matcher's matches (pruning shapes results, not the
   // language; anchors only narrow it), so a negative single-pass scan
   // proves there is no match and skips backtracking entirely. Patterns the
-  // NFA cannot compile (tree atoms) fall through to the matcher's own
+  // automaton cannot compile (tree atoms) fall through to the matcher's own
   // validation.
-  auto nfa = Nfa::CompileSearch(lp.body);
-  ListPrefilter pre;
-  if (nfa.ok()) pre.nfa = &*nfa;
-  return ListSubSelectPrefiltered(store, list, lp, opts, pre);
+  auto nfa = MultiNfa::CompileSearch({lp.body});
+  if (nfa.ok() && nfa->MatchAll(store, list) == 0) {
+    AQUA_OBS_COUNT("pattern.nfa_prefilter_rejects", 1);
+    return Datum::Set({});
+  }
+  return ListSubSelectPrefiltered(store, list, lp, opts, nullptr);
 }
 
 Result<Datum> ListSubSelectPrefiltered(const StoreView& store,
                                        const List& list,
                                        const AnchoredListPattern& lp,
                                        const ListSplitOptions& opts,
-                                       const ListPrefilter& pre) {
-  if (pre.nfa != nullptr) {
-    bool may_match = pre.dfa != nullptr ? pre.dfa->ExistsMatch(store, list)
-                                        : pre.nfa->ExistsMatch(store, list);
-    if (!may_match) {
-      AQUA_OBS_COUNT("pattern.nfa_prefilter_rejects", 1);
-      return Datum::Set({});
-    }
+                                       LazyMultiDfa* prefilter) {
+  if (prefilter != nullptr && prefilter->MatchAll(store, list) == 0) {
+    AQUA_OBS_COUNT("pattern.nfa_prefilter_rejects", 1);
+    return Datum::Set({});
   }
   ListMatcher matcher(store, list);
   AQUA_ASSIGN_OR_RETURN(std::vector<ListMatch> matches,

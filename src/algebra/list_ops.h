@@ -77,29 +77,20 @@ Result<Datum> ListSubSelect(const StoreView& store, const List& list,
                             const AnchoredListPattern& lp,
                             const ListSplitOptions& opts = {});
 
-class Nfa;      // pattern/nfa.h
-class LazyDfa;  // pattern/dfa.h
+class LazyMultiDfa;  // pattern/multi.h
 
-/// Caller-owned existence prefilter for `ListSubSelectPrefiltered`: a
-/// search-compiled NFA for `lp.body`, optionally fronted by a lazily
-/// determinized DFA over the same NFA. Compiling the automaton once and
-/// reusing it across every list of a corpus (and warming one DFA per
-/// worker) is what makes the prefilter pay off inside a fan-out — the
-/// plain `ListSubSelect` recompiles it per call.
-struct ListPrefilter {
-  const Nfa* nfa = nullptr;  ///< null disables the prefilter entirely
-  LazyDfa* dfa = nullptr;    ///< optional; must be built over `nfa`
-};
-
-/// `ListSubSelect` with the prefilter automaton supplied by the caller
-/// instead of compiled per call. `pre.nfa == nullptr` (e.g. for patterns
-/// the NFA cannot compile) skips the prefilter and goes straight to the
-/// backtracking matcher, exactly like the plain overload.
+/// `ListSubSelect` with a caller-owned existence prefilter: a lazy DFA over
+/// the one-pattern search automaton of `lp.body`. Compiling the automaton
+/// once and reusing it across every list of a corpus (one warmed DFA per
+/// worker) is what makes the prefilter pay off inside a fan-out; the plain
+/// `ListSubSelect` compiles it per call. A null `prefilter` (e.g. for
+/// patterns the automaton cannot compile) goes straight to the
+/// backtracking matcher, which validates the pattern.
 Result<Datum> ListSubSelectPrefiltered(const StoreView& store,
                                        const List& list,
                                        const AnchoredListPattern& lp,
                                        const ListSplitOptions& opts,
-                                       const ListPrefilter& pre);
+                                       LazyMultiDfa* prefilter);
 
 using ListAncFn =
     std::function<Result<Datum>(const List& prefix, const List& match)>;

@@ -35,10 +35,9 @@
 #include "bulk/notation.h"
 #include "bulk/tree.h"
 
-#include "pattern/dfa.h"
 #include "pattern/list_matcher.h"
 #include "pattern/list_pattern.h"
-#include "pattern/nfa.h"
+#include "pattern/multi.h"
 #include "pattern/pattern_parser.h"
 #include "pattern/predicate.h"
 #include "pattern/predicate_parser.h"

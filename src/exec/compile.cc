@@ -16,9 +16,7 @@
 #include "lint/effects.h"
 #include "object/store_txn.h"
 #include "obs/metrics.h"
-#include "pattern/dfa.h"
 #include "pattern/multi.h"
-#include "pattern/nfa.h"
 
 namespace aqua::exec {
 
@@ -300,25 +298,25 @@ class CertifiedApplyOp : public FanOutOp {
   std::vector<ItemDelta> deltas_;
 };
 
-/// List sub_select with the NFA existence prefilter hoisted into
-/// `Prepare`: the search NFA is compiled once per Execute (the interpreter
-/// recompiled it per list) and shared read-only across workers
-/// (`Nfa::ExistsMatch` is const). Each worker slot additionally warms its
-/// own `LazyDfa` over that NFA — the DFA mutates its transition cache
-/// while matching, so instances are per-worker rather than shared, and the
-/// cache amortizes across all the lists one worker scans.
+/// List sub_select with the existence prefilter hoisted into `Prepare`: the
+/// one-pattern search automaton is compiled and sealed once per Execute
+/// (the interpreter recompiles it per list) and shared read-only across
+/// workers. Each worker slot warms its own `LazyMultiDfa` over it: the DFA
+/// mutates its transition cache and alphabet scratch while matching, so
+/// instances are per worker, and the cache amortizes across all the lists
+/// one worker scans.
 class ListSubSelectOp : public FanOutOp {
  public:
   using FanOutOp::FanOutOp;
 
   Status Prepare(ExecContext& ctx) override {
     AQUA_RETURN_IF_ERROR(FanOutOp::Prepare(ctx));
-    auto nfa = Nfa::CompileSearch(plan_->lpattern.body);
+    auto nfa = MultiNfa::CompileSearch({plan_->lpattern.body});
     if (!nfa.ok()) return Status::OK();  // matcher validates the pattern
     nfa_.emplace(std::move(*nfa));
     dfas_.emplace(std::max<size_t>(ctx.threads, 1));
     for (size_t s = 0; s < dfas_->size(); ++s) {
-      auto dfa = LazyDfa::Make(&*nfa_);
+      auto dfa = LazyMultiDfa::Make(&*nfa_);
       if (dfa.ok()) dfas_->at(s).emplace(std::move(*dfa));
     }
     return Status::OK();
@@ -327,21 +325,18 @@ class ListSubSelectOp : public FanOutOp {
  protected:
   Result<Datum> RunOnItem(ExecContext& ctx, const Datum& item, size_t,
                           size_t worker) override {
-    ListPrefilter pre;
-    if (nfa_.has_value()) {
-      pre.nfa = &*nfa_;
-      if (dfas_.has_value() && worker < dfas_->size() &&
-          dfas_->at(worker).has_value()) {
-        pre.dfa = &*dfas_->at(worker);
-      }
+    LazyMultiDfa* prefilter = nullptr;
+    if (dfas_.has_value() && worker < dfas_->size() &&
+        dfas_->at(worker).has_value()) {
+      prefilter = &*dfas_->at(worker);
     }
     return ListSubSelectPrefiltered(ctx.view, item.list(), plan_->lpattern,
-                                    plan_->lsplit_opts, pre);
+                                    plan_->lsplit_opts, prefilter);
   }
 
  private:
-  std::optional<Nfa> nfa_;
-  std::optional<WorkerLocal<std::optional<LazyDfa>>> dfas_;
+  std::optional<MultiNfa> nfa_;
+  std::optional<WorkerLocal<std::optional<LazyMultiDfa>>> dfas_;
 };
 
 constexpr char kTreeSetErr[] = "tree operator over a set containing a non-tree";
@@ -725,15 +720,13 @@ class BatchedListMatchOp : public BatchedMatchOpBase {
     bodies.reserve(plans_.size());
     for (const PlanRef& p : plans_) bodies.push_back(p->lpattern.body);
     auto multi = MultiNfa::CompileSearch(bodies);
-    // A pattern the NFA cannot compile (tree atoms) disables the probe for
-    // the whole group; every pattern then runs its matcher on every item,
-    // which is what the serial path does without a prefilter.
+    // A pattern the automaton cannot compile (tree atoms) disables the
+    // probe for the whole group; every pattern then runs its matcher on
+    // every item, which is what the serial path does without a prefilter.
     if (!multi.ok()) return Status::OK();
     multi_.emplace(std::move(*multi));
-    size_t workers = std::max<size_t>(ctx.threads, 1);
-    scratch_.emplace(workers);
-    dfas_.emplace(workers);
-    for (size_t s = 0; s < workers; ++s) {
+    dfas_.emplace(std::max<size_t>(ctx.threads, 1));
+    for (size_t s = 0; s < dfas_->size(); ++s) {
       auto dfa = LazyMultiDfa::Make(&*multi_);
       if (dfa.ok()) dfas_->at(s).emplace(std::move(*dfa));
     }
@@ -748,17 +741,17 @@ class BatchedListMatchOp : public BatchedMatchOpBase {
     const List& list = item.list();
     uint64_t matched = ~0ULL;
     if (multi_.has_value()) {
-      AlphabetScratch& scratch = scratch_->at(worker);
       std::optional<LazyMultiDfa>& dfa = dfas_->at(worker);
-      matched = dfa.has_value() ? dfa->MatchAll(ctx.view, list, &scratch)
-                                : multi_->MatchAll(ctx.view, list, &scratch);
+      size_t rows = 0;
+      matched = dfa.has_value() ? dfa->MatchAll(ctx.view, list, &rows)
+                                : multi_->MatchAll(ctx.view, list, &rows);
+      if (rows > 0) AQUA_OBS_COUNT("exec.batch_scan_rows", rows);
     }
     for (size_t j = 0; j < plans_.size(); ++j) {
       if ((matched >> j) & 1) {
         (*out)[j] = ListSubSelectPrefiltered(ctx.view, list,
                                              plans_[j]->lpattern,
-                                             plans_[j]->lsplit_opts,
-                                             ListPrefilter{});
+                                             plans_[j]->lsplit_opts, nullptr);
       } else {
         (*out)[j] = Datum::Set({});
       }
@@ -767,7 +760,6 @@ class BatchedListMatchOp : public BatchedMatchOpBase {
 
  private:
   std::optional<MultiNfa> multi_;
-  std::optional<WorkerLocal<AlphabetScratch>> scratch_;
   std::optional<WorkerLocal<std::optional<LazyMultiDfa>>> dfas_;
 };
 

@@ -4,13 +4,13 @@
 #include <vector>
 
 #include "lint/interval.h"
-#include "pattern/nfa.h"
+#include "pattern/multi.h"
 
 namespace aqua::lint {
 
 namespace {
 
-using Transition = Nfa::Transition;
+using Transition = MultiNfa::Transition;
 
 /// Whether an edge can ever be taken by any element.
 bool EdgeLive(const Transition& t, const std::vector<bool>& pred_sat) {
@@ -40,7 +40,7 @@ std::vector<bool> Reach(
 
 /// DFS 3-coloring over ε-edges restricted to `live` states; true when a
 /// back edge closes an ε-cycle.
-bool HasEpsCycle(const Nfa& nfa, const std::vector<bool>& live) {
+bool HasEpsCycle(const MultiNfa& nfa, const std::vector<bool>& live) {
   enum : uint8_t { kWhite, kGray, kBlack };
   std::vector<uint8_t> color(nfa.num_states(), kWhite);
   // Iterative DFS: (state, next edge index) frames.
@@ -73,15 +73,17 @@ bool HasEpsCycle(const Nfa& nfa, const std::vector<bool>& live) {
 AutomatonFacts AnalyzeListPatternAutomaton(const ListPatternRef& body) {
   AutomatonFacts facts;
   if (body == nullptr) return facts;
-  Result<Nfa> compiled = Nfa::Compile(body);
+  // The one-pattern whole-match automaton, read for its structure only:
+  // its alphabet is never sealed here.
+  Result<MultiNfa> compiled = MultiNfa::Compile({body});
   if (!compiled.ok()) return facts;
-  const Nfa& nfa = *compiled;
+  const MultiNfa& nfa = *compiled;
   facts.compiled = true;
 
-  std::vector<bool> pred_sat(nfa.num_predicates(), true);
-  for (size_t i = 0; i < nfa.num_predicates(); ++i) {
-    pred_sat[i] =
-        AnalyzePredicateSat(nfa.preds()[i]) != PredSat::kUnsatisfiable;
+  const std::vector<PredicateRef>& preds = nfa.alphabet().preds();
+  std::vector<bool> pred_sat(preds.size(), true);
+  for (size_t i = 0; i < preds.size(); ++i) {
+    pred_sat[i] = AnalyzePredicateSat(preds[i]) != PredSat::kUnsatisfiable;
   }
 
   // Forward and reverse adjacency with per-edge liveness.
@@ -95,14 +97,16 @@ AutomatonFacts AnalyzeListPatternAutomaton(const ListPatternRef& body) {
     }
   }
 
+  // One pattern, so exactly one state carries an accept bit.
+  uint32_t accept = 0;
+  while (nfa.accept_masks()[accept] == 0) ++accept;
   std::vector<bool> from_start = Reach(nfa.num_states(), nfa.start(), fwd);
-  std::vector<bool> to_accept = Reach(nfa.num_states(), nfa.accept(), rev);
-  facts.language_empty = !from_start[nfa.accept()];
+  std::vector<bool> to_accept = Reach(nfa.num_states(), accept, rev);
+  facts.language_empty = !from_start[accept];
 
-  std::vector<bool> eps(nfa.num_states(), false);
-  eps[nfa.start()] = true;
-  nfa.EpsClosure(&eps);
-  facts.accepts_empty = eps[nfa.accept()];
+  std::vector<uint64_t> eps(nfa.set_words());
+  nfa.StartSet(eps.data());
+  facts.accepts_empty = nfa.AcceptMask(eps.data()) != 0;
 
   std::vector<bool> live(nfa.num_states(), false);
   for (uint32_t s = 0; s < nfa.num_states(); ++s) {

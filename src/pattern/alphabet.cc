@@ -87,41 +87,43 @@ PredicateRef PredicateInterner::Intern(const PredicateRef& pred) {
   return node;
 }
 
+// Slots, leaves and attributes are interned by linear scans. A query's
+// alphabet holds a handful of entries and a 64-pattern batch's a few
+// hundred, and a scan allocates nothing, which keeps the per-query compile
+// of a one-pattern automaton cheap.
 uint32_t PredicateAlphabet::InternAttr(AttrId attr) {
-  auto it = attr_col_.find(attr);
-  if (it != attr_col_.end()) return it->second;
-  uint32_t col = static_cast<uint32_t>(attrs_.size());
+  for (uint32_t col = 0; col < attrs_.size(); ++col) {
+    if (attrs_[col] == attr) return col;
+  }
   attrs_.push_back(attr);
-  attr_col_.emplace(attr, col);
-  return col;
+  return static_cast<uint32_t>(attrs_.size() - 1);
 }
 
 uint32_t PredicateAlphabet::InternLeaf(const Predicate& leaf) {
-  const CmpOp op = leaf.op();
+  const uint32_t col = InternAttr(leaf.attr_id());
   const Value& c = leaf.constant();
-  std::string key = leaf.attr();
-  key += '\x01';
-  key += static_cast<char>('0' + static_cast<int>(op));
-  key += '\x01';
-  key += ValueTypeToString(c.type());
-  key += '\x01';
-  key += c.ToString();
-  auto it = leaf_key_.find(key);
-  if (it != leaf_key_.end()) return it->second;
-  uint32_t id = static_cast<uint32_t>(leaves_.size());
-  leaves_.push_back(Leaf{InternAttr(leaf.attr_id()), op, c});
-  leaf_key_.emplace(std::move(key), id);
-  return id;
+  for (uint32_t id = 0; id < leaves_.size(); ++id) {
+    const Leaf& l = leaves_[id];
+    if (l.attr_col == col && l.op == leaf.op() &&
+        l.constant.type() == c.type() && l.constant.Equals(c)) {
+      return id;
+    }
+  }
+  leaves_.push_back(Leaf{col, leaf.op(), c});
+  return static_cast<uint32_t>(leaves_.size() - 1);
 }
 
 uint32_t PredicateAlphabet::Intern(const PredicateRef& pred) {
-  PredicateRef canon = interner_.Intern(pred);
-  auto it = slot_of_.find(canon.get());
-  if (it != slot_of_.end()) return it->second;
-  uint32_t slot = static_cast<uint32_t>(preds_.size());
-  preds_.push_back(canon);
-  slot_of_.emplace(canon.get(), slot);
-  return slot;
+  const size_t hash = PredicateStructuralHash(*pred);
+  for (uint32_t slot = 0; slot < preds_.size(); ++slot) {
+    if (hashes_[slot] == hash &&
+        PredicateStructuralEquals(*preds_[slot], *pred)) {
+      return slot;
+    }
+  }
+  preds_.push_back(pred);
+  hashes_.push_back(hash);
+  return static_cast<uint32_t>(preds_.size() - 1);
 }
 
 void PredicateAlphabet::CompileProgram(const Predicate& p,
@@ -149,10 +151,12 @@ void PredicateAlphabet::CompileProgram(const Predicate& p,
 
 void PredicateAlphabet::Seal() {
   if (sealed_) return;
-  progs_.resize(preds_.size());
-  for (size_t i = 0; i < preds_.size(); ++i) {
-    CompileProgram(*preds_[i], &progs_[i]);
+  prog_begin_.reserve(preds_.size() + 1);
+  for (const PredicateRef& pred : preds_) {
+    prog_begin_.push_back(static_cast<uint32_t>(code_.size()));
+    CompileProgram(*pred, &code_);
   }
+  prog_begin_.push_back(static_cast<uint32_t>(code_.size()));
   sealed_ = true;
   AQUA_OBS_COUNT("pattern.alphabet_preds", preds_.size());
 }
@@ -389,10 +393,11 @@ void PredicateAlphabet::EvalBatch(const StoreView& store, const Oid* oids,
              s->leaf_sat[l].data());
   }
 
-  for (size_t p = 0; p < progs_.size(); ++p) {
-    const std::vector<Instr>& prog = progs_[p];
+  for (size_t p = 0; p < preds_.size(); ++p) {
+    const Instr* prog = code_.data() + prog_begin_[p];
+    const Instr* prog_end = code_.data() + prog_begin_[p + 1];
     const uint8_t* result = nullptr;
-    if (prog.size() == 1 && prog[0].op == Instr::kLeaf) {
+    if (prog_end - prog == 1 && prog[0].op == Instr::kLeaf) {
       result = s->leaf_sat[prog[0].arg].data();  // alias, no copy
     } else {
       size_t top = 0;  // stack height
@@ -401,11 +406,11 @@ void PredicateAlphabet::EvalBatch(const StoreView& store, const Oid* oids,
         s->stack[top - 1].resize(n);
         return s->stack[top - 1];
       };
-      for (const Instr& ins : prog) {
-        switch (ins.op) {
+      for (const Instr* ins = prog; ins != prog_end; ++ins) {
+        switch (ins->op) {
           case Instr::kLeaf: {
             std::vector<uint8_t>& dst = push();
-            std::memcpy(dst.data(), s->leaf_sat[ins.arg].data(), n);
+            std::memcpy(dst.data(), s->leaf_sat[ins->arg].data(), n);
             break;
           }
           case Instr::kTrue: {

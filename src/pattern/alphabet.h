@@ -25,9 +25,8 @@ bool PredicateStructuralEquals(const Predicate& a, const Predicate& b);
 /// Canonicalizes structurally equal predicate subtrees to one shared
 /// `PredicateRef`. Interning works bottom-up, so a duplicated subtree deep
 /// inside two different conjunctions still collapses to one node. Used by
-/// the pattern simplifier (so downstream pointer-keyed caches — the NFA's
-/// per-pointer predicate slots, lint's interval analysis — see each
-/// distinct predicate once) and by `PredicateAlphabet` extraction.
+/// the pattern simplifier, so downstream pointer-keyed caches (lint's
+/// interval analysis) see each distinct predicate once.
 class PredicateInterner {
  public:
   /// Returns the canonical node for `pred` (the first structurally equal
@@ -43,8 +42,8 @@ class PredicateInterner {
 };
 
 /// Reusable buffers for one columnar alphabet evaluation. Matching mutates
-/// the scratch, so instances are per-worker (mirroring `LazyDfa`); the
-/// buffers then amortize across all the morsels one worker scans.
+/// the scratch, so instances are per worker (each `LazyMultiDfa` owns one);
+/// the buffers then amortize across all the morsels one worker scans.
 struct AlphabetScratch {
   /// Struct-of-arrays gather of one attribute over the batch. `tag` is the
   /// type tag per item (kNone when the object, the attribute, or the value
@@ -74,7 +73,7 @@ struct AlphabetScratch {
   /// Packed result: `stride` words per item, bit p = alphabet predicate p.
   std::vector<uint64_t> sigs;
 
-  /// Element staging used by the multi-pattern list scan (`MultiNfa`).
+  /// Element staging used by the list automaton's scan (`MultiNfa`).
   std::vector<Oid> oids;
 };
 
@@ -134,14 +133,14 @@ class PredicateAlphabet {
   void EvalLeaf(const Leaf& leaf, const AlphabetScratch::Column& col,
                 size_t n, uint8_t* out) const;
 
-  PredicateInterner interner_;
   std::vector<PredicateRef> preds_;
-  std::unordered_map<const Predicate*, uint32_t> slot_of_;
-  std::vector<AttrId> attrs_;  // one gathered column per attribute
-  std::unordered_map<AttrId, uint32_t> attr_col_;
+  std::vector<size_t> hashes_;  // PredicateStructuralHash per slot
+  std::vector<AttrId> attrs_;   // one gathered column per attribute
   std::vector<Leaf> leaves_;
-  std::unordered_map<std::string, uint32_t> leaf_key_;
-  std::vector<std::vector<Instr>> progs_;
+  /// Postfix programs, one per slot: slot p is
+  /// code_[prog_begin_[p], prog_begin_[p + 1]).
+  std::vector<Instr> code_;
+  std::vector<uint32_t> prog_begin_;
   bool sealed_ = false;
 };
 

@@ -1,7 +1,8 @@
 #include "pattern/multi.h"
 
 #include <algorithm>
-#include <deque>
+#include <bit>
+#include <cassert>
 
 #include "obs/metrics.h"
 
@@ -27,15 +28,72 @@ void FlattenConcat(const ListPattern* p, std::vector<const ListPattern*>* out) {
   out->push_back(p);
 }
 
-bool IsSimpleAtom(const ListPattern* p) {
-  switch (p->kind()) {
-    case ListPattern::Kind::kPred:
-    case ListPattern::Kind::kAny:
-    case ListPattern::Kind::kPoint:
-      return true;
-    default:
-      return false;
+bool TestBit(const uint64_t* set, uint32_t i) {
+  return (set[i >> 6] >> (i & 63)) & 1;
+}
+
+void SetBit(uint64_t* set, uint32_t i) { set[i >> 6] |= 1ULL << (i & 63); }
+
+template <typename F>
+void ForEachState(const uint64_t* set, size_t words, F f) {
+  for (size_t w = 0; w < words; ++w) {
+    for (uint64_t bits = set[w]; bits != 0; bits &= bits - 1) {
+      f(static_cast<uint32_t>(w * 64 + std::countr_zero(bits)));
+    }
   }
+}
+
+/// A 64-bit finalizer (splitmix64) for the DFA's hash keys.
+uint64_t Mix(uint64_t x) {
+  x ^= x >> 30;
+  x *= 0xbf58476d1ce4e5b9ULL;
+  x ^= x >> 27;
+  x *= 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
+/// Feeds `list` to `step` one element at a time, evaluating the alphabet a
+/// chunk at a time. `step(e, sig)` advances the automaton over element `e`
+/// (`sig` is its alphabet signature when `e` is a cell) and returns the
+/// accept mask after it. Search mode OR-accumulates the masks and stops
+/// once every pattern has matched; whole mode answers with the mask after
+/// the last element. `rows` receives the elements evaluated.
+template <typename Step>
+uint64_t Scan(const MultiNfa& nfa, const StoreView& store, const List& list,
+              uint64_t start_mask, AlphabetScratch* scratch, size_t* rows,
+              Step step) {
+  const bool search = nfa.search_mode();
+  const uint64_t full = nfa.full_mask();
+  const PredicateAlphabet& alphabet = nfa.alphabet();
+  const size_t stride = alphabet.sig_stride();
+  uint64_t matched = start_mask;
+  uint64_t last = start_mask;
+  size_t scanned = 0;
+  // Chunks start small, so a match near the front costs few evaluations,
+  // and double up to 256 elements for long scans.
+  size_t chunk = 16;
+  for (size_t base = 0; base < list.size() && !(search && matched == full);
+       base += chunk, chunk = std::min<size_t>(chunk * 2, 256)) {
+    const size_t end = std::min(base + chunk, list.size());
+    scratch->oids.clear();
+    for (size_t i = base; i < end; ++i) {
+      const NodePayload& e = list.at(i);
+      if (e.is_cell()) scratch->oids.push_back(e.oid());
+    }
+    alphabet.EvalBatch(store, scratch->oids.data(), scratch->oids.size(),
+                       scratch);
+    scanned += end - base;
+    const uint64_t* sig = scratch->sigs.data();
+    for (size_t i = base; i < end; ++i) {
+      const NodePayload& e = list.at(i);
+      last = step(e, sig);
+      if (e.is_cell()) sig += stride;
+      matched |= last;
+      if (search && matched == full) break;
+    }
+  }
+  if (rows != nullptr) *rows = scanned;
+  return search ? matched : last;
 }
 
 }  // namespace
@@ -140,51 +198,38 @@ Status MultiNfa::AddPattern(const ListPatternRef& pattern, uint32_t index,
   FlattenConcat(pattern.get(), &parts);
 
   // Walk the trie over the leading run of simple atoms, reusing states that
-  // an earlier pattern with the same prefix already created.
+  // an earlier pattern with the same prefix already created. A trie node's
+  // only consuming edges are trie edges, so the child for an atom is the
+  // target of the node's consuming edge with the same kind and index.
   uint32_t cur = trie_root;
   size_t consumed = 0;
   for (; consumed < parts.size(); ++consumed) {
     const ListPattern* atom = UnwrapPrune(parts[consumed]);
-    if (!IsSimpleAtom(atom)) break;
-    uint64_t key = 0;
-    switch (atom->kind()) {
-      case ListPattern::Kind::kPred:
-        key = (1ULL << 32) | alphabet_.Intern(atom->pred());
-        break;
-      case ListPattern::Kind::kAny:
-        key = 2ULL << 32;
-        break;
-      case ListPattern::Kind::kPoint:
-        key = (3ULL << 32) | InternLabel(atom->label());
-        break;
-      default:
-        break;
+    Transition edge{Transition::Kind::kAnyCell, 0, 0};
+    if (atom->kind() == ListPattern::Kind::kPred) {
+      edge = {Transition::Kind::kPred, 0, alphabet_.Intern(atom->pred())};
+    } else if (atom->kind() == ListPattern::Kind::kPoint) {
+      edge = {Transition::Kind::kPoint, 0, InternLabel(atom->label())};
+    } else if (atom->kind() != ListPattern::Kind::kAny) {
+      break;
     }
-    auto it = trie_.find({cur, key});
-    if (it != trie_.end()) {
-      cur = it->second;
+    auto shared = std::find_if(
+        states_[cur].begin(), states_[cur].end(), [&](const Transition& t) {
+          return t.kind == edge.kind && t.index == edge.index;
+        });
+    if (shared != states_[cur].end()) {
+      cur = shared->target;
       ++trie_shared_states_;
       continue;
     }
-    uint32_t child = NewState();
-    switch (atom->kind()) {
-      case ListPattern::Kind::kPred:
-        AddEdge(cur, {Transition::Kind::kPred, child,
-                      static_cast<uint32_t>(key & 0xffffffffu)});
-        break;
-      case ListPattern::Kind::kAny:
-        AddEdge(cur, {Transition::Kind::kAnyCell, child, 0});
-        break;
-      case ListPattern::Kind::kPoint:
-        AddEdge(cur, {Transition::Kind::kEpsilon, child, 0});
-        AddEdge(cur, {Transition::Kind::kPoint, child,
-                      static_cast<uint32_t>(key & 0xffffffffu)});
-        break;
-      default:
-        break;
+    edge.target = NewState();
+    // A pattern point closes with NULL (epsilon) or consumes one
+    // same-labeled instance point.
+    if (edge.kind == Transition::Kind::kPoint) {
+      AddEdge(cur, {Transition::Kind::kEpsilon, edge.target, 0});
     }
-    trie_.emplace(std::make_pair(cur, key), child);
-    cur = child;
+    AddEdge(cur, edge);
+    cur = edge.target;
   }
 
   // Thompson-compile the non-trivial remainder, if any.
@@ -197,8 +242,8 @@ Status MultiNfa::AddPattern(const ListPatternRef& pattern, uint32_t index,
   return Status::OK();
 }
 
-Result<MultiNfa> MultiNfa::CompileSearch(
-    const std::vector<ListPatternRef>& patterns) {
+Result<MultiNfa> MultiNfa::CompileMerged(
+    const std::vector<ListPatternRef>& patterns, bool search) {
   if (patterns.empty()) {
     return Status::InvalidArgument("empty pattern batch");
   }
@@ -207,13 +252,18 @@ Result<MultiNfa> MultiNfa::CompileSearch(
         "at most 64 patterns per merged automaton");
   }
   MultiNfa nfa;
-  // One shared search loop feeding one shared trie root: matches may begin
-  // at any position, discovered in a single left-to-right pass.
-  uint32_t loop = nfa.NewState();
+  nfa.search_mode_ = search;
   uint32_t root = nfa.NewState();
-  nfa.AddEdge(loop, {Transition::Kind::kAnyCell, loop, 0});
-  nfa.AddEdge(loop, {Transition::Kind::kEpsilon, root, 0});
-  nfa.start_ = loop;
+  nfa.start_ = root;
+  if (search) {
+    // One shared search loop feeding the trie root: matches may begin at
+    // any position (after cells and instance points alike), discovered in
+    // a single left-to-right pass.
+    uint32_t loop = nfa.NewState();
+    nfa.AddEdge(loop, {Transition::Kind::kAnyElement, loop, 0});
+    nfa.AddEdge(loop, {Transition::Kind::kEpsilon, root, 0});
+    nfa.start_ = loop;
+  }
   for (size_t j = 0; j < patterns.size(); ++j) {
     AQUA_RETURN_IF_ERROR(
         nfa.AddPattern(patterns[j], static_cast<uint32_t>(j), root));
@@ -222,124 +272,135 @@ Result<MultiNfa> MultiNfa::CompileSearch(
   nfa.full_mask_ = patterns.size() == 64
                        ? ~0ULL
                        : (1ULL << patterns.size()) - 1;
-  nfa.alphabet_.Seal();
-  nfa.trie_.clear();
+  // A search automaton always matches; a whole-match one may only be read.
+  if (search) nfa.Seal();
   return nfa;
 }
 
-void MultiNfa::EpsClosure(std::vector<bool>* set) const {
-  std::deque<uint32_t> work;
-  for (uint32_t s = 0; s < set->size(); ++s) {
-    if ((*set)[s]) work.push_back(s);
-  }
-  while (!work.empty()) {
-    uint32_t s = work.front();
-    work.pop_front();
-    for (const Transition& t : states_[s]) {
-      if (t.kind == Transition::Kind::kEpsilon && !(*set)[t.target]) {
-        (*set)[t.target] = true;
-        work.push_back(t.target);
+Result<MultiNfa> MultiNfa::Compile(
+    const std::vector<ListPatternRef>& patterns) {
+  return CompileMerged(patterns, /*search=*/false);
+}
+
+Result<MultiNfa> MultiNfa::CompileSearch(
+    const std::vector<ListPatternRef>& patterns) {
+  return CompileMerged(patterns, /*search=*/true);
+}
+
+void MultiNfa::EpsClosure(uint64_t* set) const {
+  // Sweep in state order; an edge to a lower-numbered state (a closure's
+  // back edge, an alternation's join) forces one more sweep.
+  for (bool again = true; again;) {
+    again = false;
+    for (uint32_t s = 0; s < states_.size(); ++s) {
+      if (!TestBit(set, s)) continue;
+      for (const Transition& t : states_[s]) {
+        if (t.kind != Transition::Kind::kEpsilon || TestBit(set, t.target)) {
+          continue;
+        }
+        SetBit(set, t.target);
+        again |= t.target < s;
       }
     }
   }
 }
 
-uint64_t MultiNfa::AcceptMask(const std::vector<bool>& set) const {
+void MultiNfa::StartSet(uint64_t* set) const {
+  std::fill(set, set + set_words(), 0);
+  SetBit(set, start_);
+  EpsClosure(set);
+}
+
+uint64_t MultiNfa::AcceptMask(const uint64_t* set) const {
   uint64_t mask = 0;
-  for (uint32_t s = 0; s < set.size(); ++s) {
-    if (set[s]) mask |= accept_masks_[s];
-  }
+  ForEachState(set, set_words(),
+               [&](uint32_t s) { mask |= accept_masks_[s]; });
   return mask;
 }
 
-std::vector<bool> MultiNfa::StepCell(const std::vector<bool>& from,
-                                     const uint64_t* sig) const {
-  std::vector<bool> next(states_.size(), false);
-  for (uint32_t s = 0; s < from.size(); ++s) {
-    if (!from[s]) continue;
+void MultiNfa::StepCell(const uint64_t* from, const uint64_t* sig,
+                        uint64_t* next) const {
+  std::fill(next, next + set_words(), 0);
+  ForEachState(from, set_words(), [&](uint32_t s) {
     for (const Transition& t : states_[s]) {
       switch (t.kind) {
         case Transition::Kind::kEpsilon:
         case Transition::Kind::kPoint:
           break;
         case Transition::Kind::kPred:
-          if ((sig[t.index >> 6] >> (t.index & 63)) & 1) {
-            next[t.target] = true;
-          }
+          if (TestBit(sig, t.index)) SetBit(next, t.target);
           break;
         case Transition::Kind::kAnyCell:
-          next[t.target] = true;
+        case Transition::Kind::kAnyElement:
+          SetBit(next, t.target);
           break;
       }
     }
-  }
-  EpsClosure(&next);
-  return next;
+  });
+  EpsClosure(next);
 }
 
-std::vector<bool> MultiNfa::StepPoint(const std::vector<bool>& from,
-                                      uint32_t label_index) const {
-  std::vector<bool> next(states_.size(), false);
-  for (uint32_t s = 0; s < from.size(); ++s) {
-    if (!from[s]) continue;
+void MultiNfa::StepPoint(const uint64_t* from, uint32_t label_index,
+                         uint64_t* next) const {
+  std::fill(next, next + set_words(), 0);
+  ForEachState(from, set_words(), [&](uint32_t s) {
     for (const Transition& t : states_[s]) {
-      if (t.kind == Transition::Kind::kPoint && t.index == label_index) {
-        next[t.target] = true;
+      if (t.kind == Transition::Kind::kAnyElement ||
+          (t.kind == Transition::Kind::kPoint && t.index == label_index)) {
+        SetBit(next, t.target);
       }
     }
-  }
-  EpsClosure(&next);
-  return next;
+  });
+  EpsClosure(next);
 }
 
 uint64_t MultiNfa::MatchAll(const StoreView& store, const List& list,
-                            AlphabetScratch* scratch) const {
-  uint64_t matched = 0;
-  std::vector<bool> cur(states_.size(), false);
-  cur[start_] = true;
-  EpsClosure(&cur);
-  matched |= AcceptMask(cur);
-
-  const size_t stride = alphabet_.sig_stride();
-  size_t rows = 0;
-  constexpr size_t kChunk = 256;
-  for (size_t base = 0; base < list.size() && matched != full_mask_;
-       base += kChunk) {
-    const size_t end = std::min(base + kChunk, list.size());
-    scratch->oids.clear();
-    for (size_t i = base; i < end; ++i) {
-      const NodePayload& e = list.at(i);
-      if (e.is_cell()) scratch->oids.push_back(e.oid());
-    }
-    alphabet_.EvalBatch(store, scratch->oids.data(), scratch->oids.size(),
-                        scratch);
-    rows += end - base;
-    size_t cell_pos = 0;
-    for (size_t i = base; i < end; ++i) {
-      const NodePayload& e = list.at(i);
-      if (e.is_cell()) {
-        cur = StepCell(cur, scratch->sigs.data() + cell_pos * stride);
-        ++cell_pos;
-      } else {
-        cur = StepPoint(cur, LabelIndex(e.label()));
-      }
-      matched |= AcceptMask(cur);
-      if (matched == full_mask_) break;
-    }
-  }
-  if (rows > 0) AQUA_OBS_COUNT("exec.batch_scan_rows", rows);
+                            size_t* rows) const {
+  assert(alphabet_.sealed());
+  AlphabetScratch scratch;
+  std::vector<uint64_t> cur(set_words()), next(set_words());
+  StartSet(cur.data());
+  size_t steps = 0;
+  const uint64_t matched = Scan(
+      *this, store, list, AcceptMask(cur.data()), &scratch, rows,
+      [&](const NodePayload& e, const uint64_t* sig) {
+        if (e.is_cell()) {
+          StepCell(cur.data(), sig, next.data());
+        } else {
+          StepPoint(cur.data(), LabelIndex(e.label()), next.data());
+        }
+        cur.swap(next);
+        ++steps;
+        return AcceptMask(cur.data());
+      });
+  if (steps > 0) AQUA_OBS_COUNT("pattern.nfa_steps", steps);
   return matched;
 }
 
-LazyMultiDfa::LazyMultiDfa(const MultiNfa* nfa) : nfa_(nfa) {
-  std::vector<bool> start(nfa_->num_states(), false);
-  start[nfa_->start()] = true;
-  nfa_->EpsClosure(&start);
+size_t LazyMultiDfa::WordsHash::operator()(
+    const std::vector<uint64_t>& words) const {
+  uint64_t h = words.size();
+  for (uint64_t w : words) h = Mix(h ^ w);
+  return static_cast<size_t>(h);
+}
+
+size_t LazyMultiDfa::TransHash::operator()(
+    const std::pair<uint32_t, uint64_t>& key) const {
+  return static_cast<size_t>(Mix(key.second ^ Mix(key.first)));
+}
+
+LazyMultiDfa::LazyMultiDfa(const MultiNfa* nfa)
+    : nfa_(nfa), next_(nfa->set_words()) {
+  std::vector<uint64_t> start(nfa_->set_words());
+  nfa_->StartSet(start.data());
   start_state_ = InternState(start);
 }
 
 Result<LazyMultiDfa> LazyMultiDfa::Make(const MultiNfa* nfa) {
   if (nfa == nullptr) return Status::InvalidArgument("null MultiNfa");
+  if (!nfa->alphabet().sealed()) {
+    return Status::InvalidArgument("MultiNfa must be sealed before matching");
+  }
   if (nfa->alphabet().size() > 58) {
     return Status::InvalidArgument(
         "too many alphabet predicates for 64-bit signatures");
@@ -347,79 +408,61 @@ Result<LazyMultiDfa> LazyMultiDfa::Make(const MultiNfa* nfa) {
   return LazyMultiDfa(nfa);
 }
 
-uint32_t LazyMultiDfa::InternState(const std::vector<bool>& set) {
-  auto it = state_ids_.find(set);
-  if (it != state_ids_.end()) return it->second;
-  uint32_t id = static_cast<uint32_t>(dfa_states_.size());
-  dfa_states_.push_back(set);
-  state_accept_masks_.push_back(nfa_->AcceptMask(set));
-  state_ids_.emplace(set, id);
-  return id;
+uint32_t LazyMultiDfa::InternState(const std::vector<uint64_t>& set) {
+  auto [it, inserted] =
+      state_ids_.try_emplace(set, static_cast<uint32_t>(sets_.size()));
+  if (inserted) {
+    sets_.push_back(it->first.data());
+    state_accept_masks_.push_back(nfa_->AcceptMask(it->first.data()));
+  }
+  return it->second;
 }
 
-uint32_t LazyMultiDfa::StepState(uint32_t state, uint64_t sig, bool is_cell,
-                                 uint32_t label_index) {
-  // Cell signatures set bit 63 over the (≤58-bit) predicate word; point
-  // signatures encode label+1 (so an unknown label is distinct from any
-  // cell and from every known label).
-  const uint64_t key =
-      is_cell ? (1ULL << 63) | sig
-              : static_cast<uint64_t>(label_index) + 1;
+uint32_t LazyMultiDfa::StepState(uint32_t state, uint64_t key,
+                                 const uint64_t* sig, uint32_t label_index) {
   auto it = trans_.find({state, key});
   if (it != trans_.end()) {
     ++hits_;
     return it->second;
   }
   ++misses_;
-  std::vector<bool> next =
-      is_cell ? nfa_->StepCell(dfa_states_[state], &sig)
-              : nfa_->StepPoint(dfa_states_[state], label_index);
-  uint32_t id = InternState(next);
+  if (sig != nullptr) {
+    nfa_->StepCell(sets_[state], sig, next_.data());
+  } else {
+    nfa_->StepPoint(sets_[state], label_index, next_.data());
+  }
+  uint32_t id = InternState(next_);
   trans_.emplace(std::make_pair(state, key), id);
   return id;
 }
 
 uint64_t LazyMultiDfa::MatchAll(const StoreView& store, const List& list,
-                                AlphabetScratch* scratch) {
-  uint64_t matched = state_accept_masks_[start_state_];
-  const uint64_t full = nfa_->full_mask();
-  const PredicateAlphabet& alphabet = nfa_->alphabet();
+                                size_t* rows) {
+  const uint64_t hits0 = hits_;
+  const uint64_t misses0 = misses_;
+  const bool has_preds = nfa_->alphabet().size() > 0;
   uint32_t state = start_state_;
-  size_t rows = 0;
-  constexpr size_t kChunk = 256;
-  for (size_t base = 0; base < list.size() && matched != full;
-       base += kChunk) {
-    const size_t end = std::min(base + kChunk, list.size());
-    scratch->oids.clear();
-    for (size_t i = base; i < end; ++i) {
-      const NodePayload& e = list.at(i);
-      if (e.is_cell()) scratch->oids.push_back(e.oid());
-    }
-    alphabet.EvalBatch(store, scratch->oids.data(), scratch->oids.size(),
-                       scratch);
-    rows += end - base;
-    size_t cell_pos = 0;
-    for (size_t i = base; i < end; ++i) {
-      const NodePayload& e = list.at(i);
-      if (e.is_cell()) {
-        state = StepState(state, scratch->sigs[cell_pos], true, 0);
-        ++cell_pos;
-      } else {
-        uint32_t label = MultiNfa::kNoLabel;
-        const std::vector<std::string>& labels = nfa_->point_labels();
-        for (size_t l = 0; l < labels.size(); ++l) {
-          if (labels[l] == e.label()) {
-            label = static_cast<uint32_t>(l);
-            break;
-          }
+  const uint64_t matched = Scan(
+      *nfa_, store, list, state_accept_masks_[start_state_], &scratch_, rows,
+      [&](const NodePayload& e, const uint64_t* sig) {
+        // Cell keys set bit 63 over the (at most 58-bit) signature word;
+        // point keys are label + 1, so a label no pattern names is distinct
+        // from every cell and every known label.
+        if (e.is_cell()) {
+          const uint64_t word = has_preds ? sig[0] : 0;
+          state = StepState(state, (1ULL << 63) | word, &word, 0);
+        } else {
+          const uint32_t label = nfa_->LabelIndex(e.label());
+          state = StepState(state, uint64_t{label} + 1, nullptr, label);
         }
-        state = StepState(state, 0, false, label);
-      }
-      matched |= state_accept_masks_[state];
-      if (matched == full) break;
-    }
+        return state_accept_masks_[state];
+      });
+  if (hits_ > hits0) AQUA_OBS_COUNT("pattern.dfa_hits", hits_ - hits0);
+  if (misses_ > misses0) {
+    AQUA_OBS_COUNT("pattern.dfa_misses", misses_ - misses0);
+    // Each miss fell back to one NFA simulation step.
+    AQUA_OBS_COUNT("pattern.nfa_steps", misses_ - misses0);
   }
-  if (rows > 0) AQUA_OBS_COUNT("exec.batch_scan_rows", rows);
   return matched;
 }
 

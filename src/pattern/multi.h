@@ -2,8 +2,9 @@
 #define AQUA_PATTERN_MULTI_H_
 
 #include <cstdint>
-#include <map>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "bulk/list.h"
@@ -13,36 +14,62 @@
 
 namespace aqua {
 
-/// A merged product automaton answering up to 64 list patterns in one scan.
+/// The list automaton: a Thompson NFA over up to 64 list patterns merged
+/// into one product automaton, answering the boolean list questions the
+/// engine asks ("does pattern j match somewhere in / all of this list?").
+///
+/// Prune markers do not change the recognized language (§3.4 separates
+/// matching from result shaping), so `!` is transparent here; the
+/// backtracking `ListMatcher` remains the engine for match *shapes*.
 ///
 /// Compilation interns every pattern predicate into one shared
 /// `PredicateAlphabet` (structural dedup, so `{citizen=="Brazil"}` appearing
 /// in five patterns is one slot), trie-merges the patterns' common leading
 /// atoms into shared states, and Thompson-compiles each remainder. Every
-/// state carries an *accept mask*: bit j set means pattern j's accept state
-/// is reachable here. Matching is the search-mode existence scan
-/// (`Nfa::ExistsMatch` over `CompileSearch`) run once for all patterns:
-/// element facts come from one columnar `PredicateAlphabet::EvalBatch` per
-/// chunk instead of N× per-pattern `Predicate::Eval` store walks, and the
-/// scan OR-accumulates the accept masks it touches, early-exiting once every
-/// pattern has matched.
+/// state carries an *accept mask*: bit j set means pattern j accepts here.
 ///
-/// Thread model: a compiled MultiNfa is immutable and freely shared; the
-/// mutable per-call buffers live in the caller-provided `AlphabetScratch`
-/// (one per worker, like `LazyDfa`).
+/// Uses:
+///  * one pattern, search mode — the existence prefilter in front of the
+///    backtracking matcher (`ListSubSelect`, `ListSubSelectOp`);
+///  * N patterns, search mode — one columnar scan answers a whole batch
+///    (`BatchedListMatchOp`): element facts come from one
+///    `PredicateAlphabet::EvalBatch` per chunk, the scan OR-accumulates the
+///    accept masks it touches and stops once every pattern has matched;
+///  * one pattern, whole-match mode — lint's start/accept reachability
+///    analysis (structure only, never sealed) and cross-checks against the
+///    backtracker's `MatchesWhole`.
+///
+/// State sets are packed bitsets of `set_words()` words.
+///
+/// Thread model: a sealed MultiNfa is immutable and freely shared; matching
+/// state lives in the caller (`MatchAll` allocates its own buffers, a
+/// `LazyMultiDfa` owns its caches).
 class MultiNfa {
  public:
-  /// Compiles `?* merged(patterns)` for single-pass existence search.
-  /// Fails on empty input, more than 64 patterns, or tree-pattern atoms.
+  /// Compiles the whole-match automaton: bit j of `MatchAll` is set when
+  /// the entire list is in patterns[j]'s language. The alphabet is left
+  /// unsealed, so structural readers pay no kernel compilation; call
+  /// `Seal` before matching. Fails on empty input, more than 64 patterns,
+  /// or tree-pattern atoms.
+  static Result<MultiNfa> Compile(const std::vector<ListPatternRef>& patterns);
+
+  /// Compiles `(any element)* merged(patterns)` for single-pass existence
+  /// search (bit j set when some sublist is in patterns[j]'s language) and
+  /// seals it, ready to match.
   static Result<MultiNfa> CompileSearch(
       const std::vector<ListPatternRef>& patterns);
 
-  /// Returns the bitset of patterns with some matching sublist in `list`
-  /// (bit j = patterns[j]); the answer for each bit is exactly
-  /// `Nfa::CompileSearch(patterns[j]) -> ExistsMatch(store, list)`.
-  uint64_t MatchAll(const StoreView& store, const List& list,
-                    AlphabetScratch* scratch) const;
+  /// Compiles the alphabet's columnar kernels (idempotent). Required before
+  /// matching; not thread-safe, so seal before sharing.
+  void Seal() { alphabet_.Seal(); }
 
+  /// Returns the bitset of matching patterns (bit j = patterns[j]) by plain
+  /// NFA simulation. Requires `Seal()`. `rows`, when not null, receives
+  /// the number of elements whose alphabet signatures were evaluated.
+  uint64_t MatchAll(const StoreView& store, const List& list,
+                    size_t* rows = nullptr) const;
+
+  bool search_mode() const { return search_mode_; }
   size_t num_patterns() const { return num_patterns_; }
   size_t num_states() const { return states_.size(); }
   const PredicateAlphabet& alphabet() const { return alphabet_; }
@@ -53,7 +80,9 @@ class MultiNfa {
   size_t trie_shared_states() const { return trie_shared_states_; }
 
   struct Transition {
-    enum class Kind { kEpsilon, kPred, kAnyCell, kPoint };
+    /// `kAnyCell` is the pattern atom `?` (cells only); `kAnyElement` is
+    /// the search loop, which skips cells and instance points alike.
+    enum class Kind { kEpsilon, kPred, kAnyCell, kAnyElement, kPoint };
     Kind kind;
     uint32_t target;
     uint32_t index;  // alphabet slot (kPred) or label index (kPoint)
@@ -68,20 +97,30 @@ class MultiNfa {
   }
   uint32_t start() const { return start_; }
 
-  /// Epsilon-closure of a state bitset, in place.
-  void EpsClosure(std::vector<bool>* set) const;
+  /// Words per packed state set.
+  size_t set_words() const { return (states_.size() + 63) / 64; }
+
+  /// Epsilon-closure of a packed state set, in place.
+  void EpsClosure(uint64_t* set) const;
+
+  /// Writes the closed start set into `set` (`set_words()` words).
+  void StartSet(uint64_t* set) const;
 
   /// OR of the accept masks of all states in `set`.
-  uint64_t AcceptMask(const std::vector<bool>& set) const;
+  uint64_t AcceptMask(const uint64_t* set) const;
 
-  /// One simulation step over a cell whose alphabet signature starts at
-  /// `sig` (sig_stride words), or over a point with `label_index`
-  /// (`kNoLabel` for an unknown label). Closure included.
+  /// One simulation step, closure included, from `from` into `next` (which
+  /// must not alias it): over a cell whose alphabet signature starts at
+  /// `sig`, or over a point with `label_index` (`kNoLabel` for a label no
+  /// pattern names).
   static constexpr uint32_t kNoLabel = static_cast<uint32_t>(-1);
-  std::vector<bool> StepCell(const std::vector<bool>& from,
-                             const uint64_t* sig) const;
-  std::vector<bool> StepPoint(const std::vector<bool>& from,
-                              uint32_t label_index) const;
+  void StepCell(const uint64_t* from, const uint64_t* sig,
+                uint64_t* next) const;
+  void StepPoint(const uint64_t* from, uint32_t label_index,
+                 uint64_t* next) const;
+
+  /// Index of `label` among `point_labels()`, or `kNoLabel`.
+  uint32_t LabelIndex(const std::string& label) const;
 
  private:
   struct Frag {
@@ -89,13 +128,14 @@ class MultiNfa {
     uint32_t accept;
   };
 
+  static Result<MultiNfa> CompileMerged(
+      const std::vector<ListPatternRef>& patterns, bool search);
   uint32_t NewState();
   void AddEdge(uint32_t from, Transition t);
   uint32_t InternLabel(const std::string& label);
   Result<Frag> Build(const ListPattern& p);
   Status AddPattern(const ListPatternRef& pattern, uint32_t index,
                     uint32_t trie_root);
-  uint32_t LabelIndex(const std::string& label) const;
 
   std::vector<std::vector<Transition>> states_;
   std::vector<uint64_t> accept_masks_;
@@ -105,47 +145,71 @@ class MultiNfa {
   uint64_t full_mask_ = 0;
   size_t num_patterns_ = 0;
   size_t trie_shared_states_ = 0;
-
-  /// Trie edges: (parent state, atom key) -> child state. Only used during
-  /// compilation. The atom key packs (kind, index).
-  std::map<std::pair<uint32_t, uint64_t>, uint32_t> trie_;
+  bool search_mode_ = false;
 };
 
-/// Lazily determinized product automaton over a `MultiNfa`, mirroring
-/// `LazyDfa`: each distinct element signature seen at a DFA state
-/// materializes one cached transition, and each DFA state caches the OR of
-/// its NFA states' accept masks, so a hot scan approaches one table lookup
-/// plus one mask OR per element.
+/// Lazily determinized `MultiNfa`: each distinct element signature seen at
+/// a DFA state materializes one cached transition, and each DFA state
+/// caches the OR of its NFA states' accept masks, so a hot scan approaches
+/// one table lookup plus one mask OR per element. DFA states are packed NFA
+/// state sets interned in a hash map.
 ///
-/// Thread model: matching MUTATES the caches — per-worker instances only,
-/// over one shared const `MultiNfa`.
+/// The input alphabet is symbolic (predicate outcomes), so ahead-of-time
+/// determinization would enumerate predicate minterms; determinizing on
+/// demand only ever builds the transitions the data exercises.
+///
+/// Thread model: matching MUTATES the caches and the owned alphabet
+/// scratch, so instances are per worker over one shared const `MultiNfa`;
+/// the caches then amortize across every list that worker scans.
 class LazyMultiDfa {
  public:
-  /// `nfa` must outlive the DFA. At most 58 alphabet predicates are
-  /// supported (signatures pack into 64 bits, like `LazyDfa`).
+  /// `nfa` must be sealed and must outlive the DFA. At most 58 alphabet
+  /// predicates are supported (a cell's signature is one 64-bit word).
   static Result<LazyMultiDfa> Make(const MultiNfa* nfa);
+
+  LazyMultiDfa(LazyMultiDfa&&) = default;
+  LazyMultiDfa& operator=(LazyMultiDfa&&) = default;
+  LazyMultiDfa(const LazyMultiDfa&) = delete;
+  LazyMultiDfa& operator=(const LazyMultiDfa&) = delete;
 
   /// Same contract as `MultiNfa::MatchAll`.
   uint64_t MatchAll(const StoreView& store, const List& list,
-                    AlphabetScratch* scratch);
+                    size_t* rows = nullptr);
 
-  size_t num_states() const { return dfa_states_.size(); }
+  /// Number of materialized DFA states so far.
+  size_t num_states() const { return sets_.size(); }
+  /// Number of cached transitions so far.
   size_t num_transitions() const { return trans_.size(); }
+  /// Transition-cache hits/misses over this DFA's lifetime. A miss falls
+  /// back to one NFA simulation step (mirrored to the registry as
+  /// `pattern.dfa_hits`, `pattern.dfa_misses` and `pattern.nfa_steps`).
   uint64_t cache_hits() const { return hits_; }
   uint64_t cache_misses() const { return misses_; }
 
  private:
   explicit LazyMultiDfa(const MultiNfa* nfa);
 
-  uint32_t InternState(const std::vector<bool>& set);
-  uint32_t StepState(uint32_t state, uint64_t sig, bool is_cell,
+  struct WordsHash {
+    size_t operator()(const std::vector<uint64_t>& words) const;
+  };
+  struct TransHash {
+    size_t operator()(const std::pair<uint32_t, uint64_t>& key) const;
+  };
+
+  uint32_t InternState(const std::vector<uint64_t>& set);
+  uint32_t StepState(uint32_t state, uint64_t key, const uint64_t* sig,
                      uint32_t label_index);
 
   const MultiNfa* nfa_;
-  std::vector<std::vector<bool>> dfa_states_;  // NFA state sets
+  AlphabetScratch scratch_;
+  /// Packed NFA state set -> DFA state id. `sets_[id]` points at the key's
+  /// words, which the map's nodes keep in place.
+  std::unordered_map<std::vector<uint64_t>, uint32_t, WordsHash> state_ids_;
+  std::vector<const uint64_t*> sets_;
   std::vector<uint64_t> state_accept_masks_;
-  std::map<std::vector<bool>, uint32_t> state_ids_;
-  std::map<std::pair<uint32_t, uint64_t>, uint32_t> trans_;
+  std::unordered_map<std::pair<uint32_t, uint64_t>, uint32_t, TransHash>
+      trans_;
+  std::vector<uint64_t> next_;  // miss-path step buffer
   uint32_t start_state_ = 0;
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;

@@ -30,7 +30,7 @@ using RegexCont = FunctionRef<void(size_t)>;
 /// All derivations are enumerated (the caller deduplicates results); the
 /// engine itself is linear in pattern size per derivation step but may
 /// explore exponentially many derivations for ambiguous patterns — the
-/// paper's footnote 3 acknowledges this, and `pattern/nfa.h` provides the
+/// paper's footnote 3 acknowledges this, and `pattern/multi.h` provides the
 /// efficient boolean path.
 ///
 /// Continuation passing makes a derivation as deep on the stack as it is

@@ -136,6 +136,15 @@ TEST_F(ListOpsTest, SubSelectRemovesPrunedRuns) {
   EXPECT_EQ(Str(result.at(0).list()), "[a b]");
 }
 
+TEST_F(ListOpsTest, SubSelectFindsMatchesAfterInstancePoints) {
+  // A match may begin after an instance point, so the existence prefilter
+  // must skip points as well as cells before a match.
+  List l = L("[@x a b]");
+  ASSERT_OK_AND_ASSIGN(Datum result, ListSubSelect(store_, l, LP("a b")));
+  ASSERT_EQ(result.size(), 1u);
+  EXPECT_EQ(Str(result.at(0).list()), "[a b]");
+}
+
 TEST_F(ListOpsTest, SubSelectIsASet) {
   List l = L("[a b a b]");
   ASSERT_OK_AND_ASSIGN(Datum result, ListSubSelect(store_, l, LP("a b")));

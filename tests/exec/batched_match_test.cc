@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "exec/compile.h"
+#include "obs/metrics.h"
 #include "query/builder.h"
 #include "query/executor.h"
 #include "test_util.h"
@@ -104,6 +105,39 @@ TEST_F(BatchedMatchTest, ListGroupMatchesSequentialAtAllThreadCounts) {
     CheckBatchEqualsSequential(plans, threads);
   }
 }
+
+#ifndef AQUA_OBS_DISABLED
+TEST_F(BatchedMatchTest, ListGroupReportsTheAutomatonCounters) {
+  // The batched list probe is a lazy DFA like the single-pattern
+  // prefilter, so it moves the same `pattern.dfa_*` counters. Its rows are
+  // counted in `exec.batch_scan_rows`; single-pattern prefilter scans are
+  // not batch scans and leave that counter alone.
+  obs::Registry& reg = obs::Registry::Global();
+  obs::Counter* hits = reg.GetCounter("pattern.dfa_hits");
+  obs::Counter* misses = reg.GetCounter("pattern.dfa_misses");
+  obs::Counter* rows = reg.GetCounter("exec.batch_scan_rows");
+  PlanRef scan = Q::ScanList("l");
+  // Neither pattern matches [a b c a b d a], so the probe scans all seven
+  // elements, and the repeated a/b steps hit cached transitions.
+  std::vector<PlanRef> plans = {Q::ListSubSelect(scan, LP("zz")),
+                                Q::ListSubSelect(scan, LP("d d"))};
+  Executor exec(&db_);
+  exec.set_threads(1);
+
+  uint64_t hits0 = hits->value(), misses0 = misses->value();
+  uint64_t rows0 = rows->value();
+  for (const Result<Datum>& r : exec.ExecuteBatch(plans)) ASSERT_OK(r);
+  EXPECT_GT(hits->value(), hits0);
+  EXPECT_GT(misses->value(), misses0);
+  EXPECT_EQ(rows->value() - rows0, 7u);
+
+  hits0 = hits->value();
+  rows0 = rows->value();
+  ASSERT_OK(exec.Execute(plans[1]).status());
+  EXPECT_GT(hits->value(), hits0);
+  EXPECT_EQ(rows->value(), rows0);
+}
+#endif  // AQUA_OBS_DISABLED
 
 TEST_F(BatchedMatchTest, ForestInputsFanOutPerItem) {
   // sub_select over a select's forest output: the batch shares the forest

@@ -1,7 +1,8 @@
 // Property-based tests over randomized workloads:
 //  * split pieces always reassemble to the original tree/list;
 //  * derived operators agree with their split-based definitions;
-//  * the NFA/DFA boolean engines agree with the backtracking matcher;
+//  * the list automata (NFA simulation and lazy DFA, one pattern or a
+//    merged batch) agree with the backtracking matcher;
 //  * select is order-stable (matched nodes keep their preorder order);
 //  * list operators agree with tree operators through the §6 mapping;
 //  * the §3.1 stored-attribute check (AQL011) agrees with an exhaustive
@@ -180,10 +181,11 @@ TEST_P(PropertiesTest, NfaAgreesWithBacktrackerOnRandomLists) {
     auto body = LP(pat).body;
     ListMatcher matcher(store_, l);
     ASSERT_OK_AND_ASSIGN(bool expected, matcher.MatchesWhole(body));
-    ASSERT_OK_AND_ASSIGN(Nfa nfa, Nfa::Compile(body));
-    EXPECT_EQ(nfa.MatchesWhole(store_, l), expected) << pat;
-    ASSERT_OK_AND_ASSIGN(LazyDfa dfa, LazyDfa::Make(&nfa));
-    EXPECT_EQ(dfa.MatchesWhole(store_, l), expected) << pat;
+    ASSERT_OK_AND_ASSIGN(MultiNfa nfa, MultiNfa::Compile({body}));
+    nfa.Seal();
+    EXPECT_EQ(nfa.MatchAll(store_, l) == 1, expected) << pat;
+    ASSERT_OK_AND_ASSIGN(LazyMultiDfa dfa, LazyMultiDfa::Make(&nfa));
+    EXPECT_EQ(dfa.MatchAll(store_, l) == 1, expected) << pat;
   }
 }
 
@@ -267,11 +269,12 @@ TEST_P(PropertiesTest, FuzzedListPatternsAgreeAcrossEngines) {
     if (!matches.ok()) continue;  // budget blown: exponential shape
     bool expected = !matches->empty();
     ++compared;
-    ASSERT_OK_AND_ASSIGN(Nfa nfa, Nfa::Compile(body));
-    EXPECT_EQ(nfa.MatchesWhole(store_, l), expected)
+    ASSERT_OK_AND_ASSIGN(MultiNfa nfa, MultiNfa::Compile({body}));
+    nfa.Seal();
+    EXPECT_EQ(nfa.MatchAll(store_, l) == 1, expected)
         << body->ToString() << " seed=" << GetParam();
-    ASSERT_OK_AND_ASSIGN(LazyDfa dfa, LazyDfa::Make(&nfa));
-    EXPECT_EQ(dfa.MatchesWhole(store_, l), expected) << body->ToString();
+    ASSERT_OK_AND_ASSIGN(LazyMultiDfa dfa, LazyMultiDfa::Make(&nfa));
+    EXPECT_EQ(dfa.MatchAll(store_, l) == 1, expected) << body->ToString();
     // Simplification preserves the language.
     AnchoredListPattern simplified{SimplifyListPattern(body), true, true};
     ListMatcher matcher2(store_, l);
@@ -283,6 +286,65 @@ TEST_P(PropertiesTest, FuzzedListPatternsAgreeAcrossEngines) {
     }
   }
   EXPECT_GT(compared, 5u);  // the budget must not skip everything
+}
+
+TEST_P(PropertiesTest, MergedAutomataAgreeWithBacktrackerOnRandomBatches) {
+  // Random batches of 1-64 fuzzed patterns (some joined by a pattern point)
+  // over random lists with instance points. The independent oracle is the
+  // backtracker's unanchored existence answer per pattern; the merged NFA
+  // simulation, the merged lazy DFA (cold and warmed), and every pattern
+  // alone must all reproduce it bit for bit.
+  std::mt19937_64 rng(GetParam() * 6151);
+  const char* kAtoms[] = {"a", "b", "a", "b", "@x", "@y"};
+  ListMatchOptions budgeted;
+  budgeted.max_matches = 1;
+  budgeted.max_steps = 100000;  // skip patterns whose backtracking explodes
+  size_t compared = 0;
+  for (int round = 0; round < 6; ++round) {
+    std::string lit = "[";
+    for (size_t i = 0, len = rng() % 24; i < len; ++i) {
+      if (i > 0) lit += ' ';
+      lit += kAtoms[rng() % std::size(kAtoms)];
+    }
+    List l = L(lit + "]");
+
+    std::vector<ListPatternRef> bodies;
+    uint64_t expected = 0;
+    const size_t want = 1 + rng() % 64;
+    for (size_t tries = 0; bodies.size() < want && tries < 4 * want;
+         ++tries) {
+      ListPatternRef body = RandomListPattern(rng, 3);
+      if (rng() % 3 == 0) {
+        body = ListPattern::Concat({body,
+                                    ListPattern::Point(rng() % 2 ? "x" : "y"),
+                                    RandomListPattern(rng, 1)});
+      }
+      ListMatcher matcher(store_, l);
+      auto matches =
+          matcher.FindAll(AnchoredListPattern{body, false, false}, budgeted);
+      if (!matches.ok()) continue;  // budget blown: exponential shape
+      if (!matches->empty()) expected |= 1ULL << bodies.size();
+      bodies.push_back(body);
+
+      const uint64_t bit = matches->empty() ? 0 : 1;
+      ASSERT_OK_AND_ASSIGN(MultiNfa solo, MultiNfa::CompileSearch({body}));
+      EXPECT_EQ(solo.MatchAll(store_, l), bit)
+          << body->ToString() << " over " << lit;
+      ASSERT_OK_AND_ASSIGN(LazyMultiDfa solo_dfa, LazyMultiDfa::Make(&solo));
+      EXPECT_EQ(solo_dfa.MatchAll(store_, l), bit)
+          << body->ToString() << " over " << lit;
+    }
+    if (bodies.empty()) continue;
+    compared += bodies.size();
+    ASSERT_OK_AND_ASSIGN(MultiNfa merged, MultiNfa::CompileSearch(bodies));
+    EXPECT_EQ(merged.MatchAll(store_, l), expected)
+        << bodies.size() << " patterns over " << lit;
+    ASSERT_OK_AND_ASSIGN(LazyMultiDfa dfa, LazyMultiDfa::Make(&merged));
+    EXPECT_EQ(dfa.MatchAll(store_, l), expected)
+        << bodies.size() << " patterns over " << lit;
+    EXPECT_EQ(dfa.MatchAll(store_, l), expected) << "warmed, over " << lit;
+  }
+  EXPECT_GT(compared, 20u);  // the budget must not skip everything
 }
 
 TEST_P(PropertiesTest, FuzzedTreePatternsSatisfyMatchInvariants) {

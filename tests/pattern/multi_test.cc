@@ -6,11 +6,244 @@
 #include <string>
 #include <vector>
 
-#include "pattern/nfa.h"
 #include "test_util.h"
 
 namespace aqua {
 namespace {
+
+/// Whole-match automaton over one pattern, sealed for matching.
+Result<MultiNfa> CompileWhole(const ListPatternRef& body) {
+  AQUA_ASSIGN_OR_RETURN(MultiNfa nfa, MultiNfa::Compile({body}));
+  nfa.Seal();
+  return nfa;
+}
+
+// ---------------------------------------------------------------------------
+// One pattern: the whole-match and search automata.
+// ---------------------------------------------------------------------------
+
+class NfaTest : public testing::AquaTestBase {
+ protected:
+  bool Whole(const std::string& list_lit, const std::string& pattern) {
+    List l = L(list_lit);
+    auto nfa = CompileWhole(LP(pattern).body);
+    EXPECT_TRUE(nfa.ok()) << nfa.status().ToString();
+    return nfa.ok() && nfa->MatchAll(store_, l) == 1;
+  }
+
+  /// Existence of a matching sublist, asked in search mode or as a whole
+  /// match of `?* pattern ?*`.
+  bool Exists(const std::string& list_lit, const std::string& pattern,
+              bool search_mode) {
+    List l = L(list_lit);
+    ListPatternRef body = LP(pattern).body;
+    auto nfa = search_mode
+                   ? MultiNfa::CompileSearch({body})
+                   : CompileWhole(ListPattern::Concat(
+                         {ListPattern::AnyStar(), body,
+                          ListPattern::AnyStar()}));
+    EXPECT_TRUE(nfa.ok()) << nfa.status().ToString();
+    return nfa.ok() && nfa->MatchAll(store_, l) == 1;
+  }
+};
+
+TEST_F(NfaTest, WholeMatchBasics) {
+  EXPECT_TRUE(Whole("[a b c]", "a b c"));
+  EXPECT_FALSE(Whole("[a b c]", "a b"));
+  EXPECT_FALSE(Whole("[a b]", "a b c"));
+  EXPECT_TRUE(Whole("[]", "[[a]]*"));
+  EXPECT_FALSE(Whole("[]", "a"));
+}
+
+TEST_F(NfaTest, ClosuresAndAlternation) {
+  EXPECT_TRUE(Whole("[a a a]", "a+"));
+  EXPECT_TRUE(Whole("[a b a b]", "[[a b]]*"));
+  EXPECT_FALSE(Whole("[a b a]", "[[a b]]*"));
+  EXPECT_TRUE(Whole("[c]", "a | b | c"));
+  EXPECT_TRUE(Whole("[a x x b]", "a ?* b"));
+}
+
+TEST_F(NfaTest, PruneIsTransparentToTheLanguage) {
+  EXPECT_TRUE(Whole("[a b c]", "a !? c"));
+  EXPECT_TRUE(Whole("[a b c]", "!a ? c"));
+}
+
+TEST_F(NfaTest, PointsEpsilonOrConsume) {
+  EXPECT_TRUE(Whole("[a @x b]", "a @x b"));
+  EXPECT_TRUE(Whole("[a b]", "a @x b"));
+  EXPECT_FALSE(Whole("[a @y b]", "a @x b"));
+  // Predicates and ? do not see instance points.
+  EXPECT_FALSE(Whole("[a @x b]", "a ? b"));
+}
+
+TEST_F(NfaTest, ExistsMatchBothModes) {
+  for (bool search : {false, true}) {
+    EXPECT_TRUE(Exists("[x a b y]", "a b", search)) << search;
+    EXPECT_FALSE(Exists("[x a y]", "a b", search)) << search;
+    EXPECT_TRUE(Exists("[x]", "a*", search)) << search;  // empty match
+    EXPECT_TRUE(Exists("[a]", "a", search)) << search;
+  }
+  // The search loop skips instance points as well as cells, as the
+  // backtracker tries every begin position.
+  EXPECT_TRUE(Exists("[@z a]", "a", /*search_mode=*/true));
+}
+
+TEST_F(NfaTest, AgreesWithBacktrackingMatcher) {
+  // Cross-check the two list-matching engines over a pattern battery.
+  const char* kPatterns[] = {"a b",   "a ?* c", "[[a | b]]+", "a+ b*",
+                             "?* c ?*", "[[a b]]* c"};
+  const char* kLists[] = {"[a b c]", "[c b a]", "[a a b b c c]",
+                          "[a b a b c]", "[]", "[c]"};
+  for (const char* pat : kPatterns) {
+    auto anchored = LP(pat);
+    ASSERT_OK_AND_ASSIGN(MultiNfa nfa, CompileWhole(anchored.body));
+    for (const char* lst : kLists) {
+      List l = L(lst);
+      ListMatcher matcher(store_, l);
+      ASSERT_OK_AND_ASSIGN(bool expected, matcher.MatchesWhole(anchored.body));
+      EXPECT_EQ(nfa.MatchAll(store_, l) == 1, expected)
+          << pat << " over " << lst;
+    }
+  }
+}
+
+TEST_F(NfaTest, CompileRejectsTreeAtomsAndNull) {
+  auto bad = ListPattern::TreeAtom(TreePattern::AnyLeaf());
+  EXPECT_TRUE(MultiNfa::Compile({bad}).status().IsInvalidArgument());
+  EXPECT_TRUE(MultiNfa::Compile({nullptr}).status().IsInvalidArgument());
+}
+
+TEST_F(NfaTest, StateCountIsLinearInPattern) {
+  ASSERT_OK_AND_ASSIGN(MultiNfa small, MultiNfa::Compile({LP("a b").body}));
+  ASSERT_OK_AND_ASSIGN(MultiNfa big,
+                       MultiNfa::Compile({LP("a b c d e f g h").body}));
+  EXPECT_LT(small.num_states(), big.num_states());
+  EXPECT_LT(big.num_states(), 64u);
+}
+
+TEST_F(NfaTest, StructuralCompileLeavesTheAlphabetUnsealed) {
+  // Lint reads the whole-match automaton's structure only; the search
+  // automaton always matches, so it arrives sealed.
+  ASSERT_OK_AND_ASSIGN(MultiNfa whole, MultiNfa::Compile({LP("a b").body}));
+  EXPECT_FALSE(whole.alphabet().sealed());
+  EXPECT_TRUE(LazyMultiDfa::Make(&whole).status().IsInvalidArgument());
+  ASSERT_OK_AND_ASSIGN(MultiNfa search,
+                       MultiNfa::CompileSearch({LP("a b").body}));
+  EXPECT_TRUE(search.alphabet().sealed());
+}
+
+// ---------------------------------------------------------------------------
+// One pattern: the lazy DFA against the NFA simulation.
+// ---------------------------------------------------------------------------
+
+class DfaTest : public testing::AquaTestBase {};
+
+TEST_F(DfaTest, AgreesWithNfaOnWholeMatch) {
+  const char* kPatterns[] = {"a b c", "a ?* c", "[[a | b]]+", "a* b* c*",
+                             "a @x b"};
+  const char* kLists[] = {"[a b c]", "[a c]",  "[b b b]", "[a @x b]",
+                          "[a b]",   "[c]",    "[]"};
+  for (const char* pat : kPatterns) {
+    ASSERT_OK_AND_ASSIGN(MultiNfa nfa, CompileWhole(LP(pat).body));
+    ASSERT_OK_AND_ASSIGN(LazyMultiDfa dfa, LazyMultiDfa::Make(&nfa));
+    for (const char* lst : kLists) {
+      List l = L(lst);
+      EXPECT_EQ(dfa.MatchAll(store_, l), nfa.MatchAll(store_, l))
+          << pat << " over " << lst;
+    }
+  }
+}
+
+TEST_F(DfaTest, AgreesWithNfaOnExistsSearchMode) {
+  const char* kPatterns[] = {"a b", "a ?* c", "b+"};
+  const char* kLists[] = {"[x a b y]", "[a x c]", "[x y z]", "[b]", "[]"};
+  for (const char* pat : kPatterns) {
+    ASSERT_OK_AND_ASSIGN(MultiNfa nfa, MultiNfa::CompileSearch({LP(pat).body}));
+    ASSERT_OK_AND_ASSIGN(LazyMultiDfa dfa, LazyMultiDfa::Make(&nfa));
+    for (const char* lst : kLists) {
+      List l = L(lst);
+      EXPECT_EQ(dfa.MatchAll(store_, l), nfa.MatchAll(store_, l))
+          << pat << " over " << lst;
+    }
+  }
+}
+
+TEST_F(DfaTest, TransitionsAreCachedAcrossCalls) {
+  ASSERT_OK_AND_ASSIGN(MultiNfa nfa,
+                       MultiNfa::CompileSearch({LP("a ? f").body}));
+  ASSERT_OK_AND_ASSIGN(LazyMultiDfa dfa, LazyMultiDfa::Make(&nfa));
+  List l = L("[a b f a c f]");
+  ASSERT_EQ(dfa.MatchAll(store_, l), 1u);
+  size_t after_first = dfa.num_transitions();
+  EXPECT_GT(after_first, 0u);
+  // The same input signature set re-uses cached transitions.
+  ASSERT_EQ(dfa.MatchAll(store_, l), 1u);
+  EXPECT_EQ(dfa.num_transitions(), after_first);
+}
+
+TEST_F(DfaTest, RejectsNullAndTooManyPredicates) {
+  EXPECT_TRUE(LazyMultiDfa::Make(nullptr).status().IsInvalidArgument());
+
+  // 59 distinct predicates exceed the 58-bit signature budget.
+  std::vector<ListPatternRef> parts;
+  for (int i = 0; i < 59; ++i) {
+    parts.push_back(ListPattern::Pred(
+        Predicate::AttrEquals("name", Value::String("x" + std::to_string(i)))));
+  }
+  ASSERT_OK_AND_ASSIGN(MultiNfa nfa,
+                       CompileWhole(ListPattern::Concat(parts)));
+  EXPECT_TRUE(LazyMultiDfa::Make(&nfa).status().IsInvalidArgument());
+}
+
+TEST_F(DfaTest, PointLabelsNeverShareACellOrUnknownSignature) {
+  // 58 predicates and 31 point labels: the widest alphabet the DFA takes.
+  // `p1 [[@l0 | ... | @l30]] [[a | p1 | ... | p57]]` matches `[p1 @l30 a]`
+  // but not `[p1 @zz a]`: only a named label may sit between p1 and a.
+  // A transition cached for one of the two points must never answer for
+  // the other, whichever list warms the cache first.
+  std::vector<ListPatternRef> points, preds;
+  for (int i = 0; i < 31; ++i) {
+    points.push_back(ListPattern::Point("l" + std::to_string(i)));
+  }
+  preds.push_back(
+      ListPattern::Pred(Predicate::AttrEquals("name", Value::String("a"))));
+  for (int i = 1; i < 58; ++i) {
+    preds.push_back(ListPattern::Pred(
+        Predicate::AttrEquals("name", Value::String("p" + std::to_string(i)))));
+  }
+  ListPatternRef body = ListPattern::Concat(
+      {ListPattern::Pred(Predicate::AttrEquals("name", Value::String("p1"))),
+       ListPattern::Alt(points), ListPattern::Alt(preds)});
+  ASSERT_OK_AND_ASSIGN(MultiNfa nfa, MultiNfa::CompileSearch({body}));
+  ASSERT_EQ(nfa.alphabet().size(), 58u);
+  ASSERT_EQ(nfa.point_labels().size(), 31u);
+
+  auto backtracker = [&](const List& l) -> uint64_t {
+    ListMatcher matcher(store_, l);
+    auto matches = matcher.FindAll(AnchoredListPattern{body, false, false});
+    EXPECT_TRUE(matches.ok()) << matches.status().ToString();
+    return matches.ok() && !matches->empty() ? 1 : 0;
+  };
+  const std::vector<std::vector<std::string>> kOrders = {
+      {"[p1 @zz a]", "[p1 @l30 a]", "[@zz a]", "[@l30 a]"},
+      {"[@l30 a]", "[@zz a]", "[p1 @l30 a]", "[p1 @zz a]"}};
+  for (const auto& order : kOrders) {
+    ASSERT_OK_AND_ASSIGN(LazyMultiDfa dfa, LazyMultiDfa::Make(&nfa));
+    for (const std::string& lit : order) {
+      List l = L(lit);
+      const uint64_t expected = backtracker(l);
+      EXPECT_EQ(nfa.MatchAll(store_, l), expected) << lit;
+      EXPECT_EQ(dfa.MatchAll(store_, l), expected) << lit << " after "
+                                                   << order[0];
+    }
+  }
+  EXPECT_EQ(backtracker(L("[p1 @zz a]")), 0u);
+  EXPECT_EQ(backtracker(L("[p1 @l30 a]")), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// N patterns: the merged product automaton.
+// ---------------------------------------------------------------------------
 
 class MultiNfaTest : public testing::AquaTestBase {
  protected:
@@ -20,19 +253,24 @@ class MultiNfaTest : public testing::AquaTestBase {
     return bodies;
   }
 
-  /// The reference answer: one independent search-mode NFA per pattern.
+  /// The reference answer, from an independent engine: bit j is set when
+  /// the backtracking matcher finds an unanchored match of pattern j.
   uint64_t SequentialMatchAll(const std::vector<ListPatternRef>& bodies,
                               const List& l) {
     uint64_t mask = 0;
     for (size_t j = 0; j < bodies.size(); ++j) {
-      auto nfa = Nfa::CompileSearch(bodies[j]);
-      EXPECT_TRUE(nfa.ok()) << nfa.status().ToString();
-      if (nfa.ok() && nfa->ExistsMatch(store_, l)) mask |= 1ULL << j;
+      ListMatcher matcher(store_, l);
+      ListMatchOptions opts;
+      opts.max_matches = 1;
+      auto matches =
+          matcher.FindAll(AnchoredListPattern{bodies[j], false, false}, opts);
+      EXPECT_TRUE(matches.ok()) << matches.status().ToString();
+      if (matches.ok() && !matches->empty()) mask |= 1ULL << j;
     }
     return mask;
   }
 
-  /// Asserts NFA and lazy-DFA agree with N independent scans on `list_lit`.
+  /// Asserts NFA and lazy-DFA agree with the backtracker on `list_lit`.
   void CheckAgainstSequential(const std::vector<std::string>& pats,
                               const std::string& list_lit) {
     std::vector<ListPatternRef> bodies = Bodies(pats);
@@ -40,11 +278,10 @@ class MultiNfaTest : public testing::AquaTestBase {
     uint64_t expected = SequentialMatchAll(bodies, l);
 
     ASSERT_OK_AND_ASSIGN(MultiNfa multi, MultiNfa::CompileSearch(bodies));
-    AlphabetScratch scratch;
-    EXPECT_EQ(multi.MatchAll(store_, l, &scratch), expected) << list_lit;
+    EXPECT_EQ(multi.MatchAll(store_, l), expected) << list_lit;
 
     ASSERT_OK_AND_ASSIGN(LazyMultiDfa dfa, LazyMultiDfa::Make(&multi));
-    EXPECT_EQ(dfa.MatchAll(store_, l, &scratch), expected) << list_lit;
+    EXPECT_EQ(dfa.MatchAll(store_, l), expected) << list_lit;
   }
 };
 
@@ -56,13 +293,12 @@ TEST_F(MultiNfaTest, GoldenAcceptMasksOnOverlappingPatterns) {
   ASSERT_OK_AND_ASSIGN(MultiNfa multi, MultiNfa::CompileSearch(bodies));
   EXPECT_EQ(multi.num_patterns(), 3u);
   EXPECT_EQ(multi.full_mask(), 0b111u);
-  AlphabetScratch scratch;
-  EXPECT_EQ(multi.MatchAll(store_, L("[a b c]"), &scratch), 0b111u);
-  EXPECT_EQ(multi.MatchAll(store_, L("[a b]"), &scratch), 0b101u);
-  EXPECT_EQ(multi.MatchAll(store_, L("[a]"), &scratch), 0b100u);
-  EXPECT_EQ(multi.MatchAll(store_, L("[x a b y]"), &scratch), 0b101u);
-  EXPECT_EQ(multi.MatchAll(store_, L("[x]"), &scratch), 0u);
-  EXPECT_EQ(multi.MatchAll(store_, L("[]"), &scratch), 0u);
+  EXPECT_EQ(multi.MatchAll(store_, L("[a b c]")), 0b111u);
+  EXPECT_EQ(multi.MatchAll(store_, L("[a b]")), 0b101u);
+  EXPECT_EQ(multi.MatchAll(store_, L("[a]")), 0b100u);
+  EXPECT_EQ(multi.MatchAll(store_, L("[x a b y]")), 0b101u);
+  EXPECT_EQ(multi.MatchAll(store_, L("[x]")), 0u);
+  EXPECT_EQ(multi.MatchAll(store_, L("[]")), 0u);
 }
 
 TEST_F(MultiNfaTest, TrieMergesCommonPrefixes) {
@@ -83,7 +319,7 @@ TEST_F(MultiNfaTest, TrieMergesCommonPrefixes) {
   // The merged automaton is smaller than the sum of the parts.
   size_t solo_states = 0;
   for (const auto& body : Bodies({"a b", "a b c", "a d"})) {
-    ASSERT_OK_AND_ASSIGN(Nfa solo, Nfa::CompileSearch(body));
+    ASSERT_OK_AND_ASSIGN(MultiNfa solo, MultiNfa::CompileSearch({body}));
     solo_states += solo.num_states();
   }
   EXPECT_LT(multi.num_states(), solo_states);
@@ -93,10 +329,9 @@ TEST_F(MultiNfaTest, IdenticalPatternsShareEverything) {
   ASSERT_OK_AND_ASSIGN(MultiNfa multi,
                        MultiNfa::CompileSearch(Bodies({"a b", "a b"})));
   EXPECT_EQ(multi.alphabet().size(), 2u);
-  AlphabetScratch scratch;
   // Both bits always agree.
-  EXPECT_EQ(multi.MatchAll(store_, L("[a b]"), &scratch), 0b11u);
-  EXPECT_EQ(multi.MatchAll(store_, L("[b a]"), &scratch), 0u);
+  EXPECT_EQ(multi.MatchAll(store_, L("[a b]")), 0b11u);
+  EXPECT_EQ(multi.MatchAll(store_, L("[b a]")), 0u);
 }
 
 TEST_F(MultiNfaTest, PointsAndClosuresMatchSequential) {
@@ -104,15 +339,15 @@ TEST_F(MultiNfaTest, PointsAndClosuresMatchSequential) {
                                    "@x", "?* c"};
   for (const char* lst :
        {"[a b c]", "[a @x b]", "[a @y b]", "[c]", "[]", "[@x]",
-        "[a a b b c]", "[x y z]"}) {
+        "[a a b b c]", "[x y z]", "[@y a c]", "[@x @y c]"}) {
     CheckAgainstSequential(pats, lst);
   }
 }
 
 TEST_F(MultiNfaTest, RandomizedAgreementWithIndependentScans) {
   // Random pattern groups over random lists: the merged automaton's mask
-  // must be bit-for-bit the N independent existence scans, for both the
-  // NFA simulation and the lazy DFA.
+  // must be bit-for-bit the backtracker's per-pattern existence answers,
+  // for both the NFA simulation and the lazy DFA.
   const std::vector<std::string> kPatternPool = {
       "a",        "a b",      "a b c", "b c",      "a ?* c", "[[a | b]] c",
       "a+",       "b* c",     "?* c",  "a @x b",   "c | d",  "[[a b]]+",
@@ -136,15 +371,31 @@ TEST_F(MultiNfaTest, RandomizedAgreementWithIndependentScans) {
   }
 }
 
+TEST_F(MultiNfaTest, WholeMatchModeAnswersEveryPatternAtTheEnd) {
+  // Whole-match bits are the anchored answers, read after the last element.
+  ASSERT_OK_AND_ASSIGN(MultiNfa multi,
+                       MultiNfa::Compile(Bodies({"a b", "a ?*", "b"})));
+  multi.Seal();
+  ASSERT_OK_AND_ASSIGN(LazyMultiDfa dfa, LazyMultiDfa::Make(&multi));
+  for (const auto& [lst, want] :
+       std::vector<std::pair<std::string, uint64_t>>{{"[a b]", 0b011},
+                                                     {"[a]", 0b010},
+                                                     {"[b]", 0b100},
+                                                     {"[x a b]", 0},
+                                                     {"[]", 0}}) {
+    EXPECT_EQ(multi.MatchAll(store_, L(lst)), want) << lst;
+    EXPECT_EQ(dfa.MatchAll(store_, L(lst)), want) << lst;
+  }
+}
+
 TEST_F(MultiNfaTest, LazyDfaCachesTransitions) {
   ASSERT_OK_AND_ASSIGN(MultiNfa multi,
                        MultiNfa::CompileSearch(Bodies({"a b", "b c"})));
   ASSERT_OK_AND_ASSIGN(LazyMultiDfa dfa, LazyMultiDfa::Make(&multi));
-  AlphabetScratch scratch;
   List l = L("[a b c a b c a b c]");
-  uint64_t first = dfa.MatchAll(store_, l, &scratch);
+  uint64_t first = dfa.MatchAll(store_, l);
   uint64_t misses_after_first = dfa.cache_misses();
-  uint64_t second = dfa.MatchAll(store_, l, &scratch);
+  uint64_t second = dfa.MatchAll(store_, l);
   EXPECT_EQ(first, second);
   EXPECT_EQ(first, 0b11u);
   // The second scan replays cached transitions only.
@@ -152,11 +403,26 @@ TEST_F(MultiNfaTest, LazyDfaCachesTransitions) {
   EXPECT_GT(dfa.cache_hits(), 0u);
 }
 
+TEST_F(MultiNfaTest, ScanReportsTheRowsItEvaluated) {
+  // Every element is evaluated when some pattern never matches; the scan
+  // stops early once all patterns have matched.
+  ASSERT_OK_AND_ASSIGN(MultiNfa multi,
+                       MultiNfa::CompileSearch(Bodies({"a", "zz"})));
+  ASSERT_OK_AND_ASSIGN(LazyMultiDfa dfa, LazyMultiDfa::Make(&multi));
+  size_t rows = 0;
+  EXPECT_EQ(dfa.MatchAll(store_, L("[a b @x c]"), &rows), 0b01u);
+  EXPECT_EQ(rows, 4u);
+  EXPECT_EQ(multi.MatchAll(store_, L("[a b @x c]"), &rows), 0b01u);
+  EXPECT_EQ(rows, 4u);
+  EXPECT_EQ(dfa.MatchAll(store_, L("[]"), &rows), 0u);
+  EXPECT_EQ(rows, 0u);
+}
+
 TEST_F(MultiNfaTest, CompileRejectsBadGroups) {
   EXPECT_TRUE(MultiNfa::CompileSearch({}).status().IsInvalidArgument());
   std::vector<ListPatternRef> many(65, LP("a").body);
   EXPECT_TRUE(MultiNfa::CompileSearch(many).status().IsInvalidArgument());
-  // Tree atoms are the matcher's job, as in Nfa::Compile.
+  // Tree atoms are the matcher's job.
   std::vector<ListPatternRef> with_tree = {
       ListPattern::TreeAtom(TreePattern::AnyLeaf())};
   EXPECT_TRUE(
@@ -176,18 +442,16 @@ TEST_F(MultiNfaTest, LazyDfaRejectsWideAlphabets) {
   ASSERT_OK_AND_ASSIGN(MultiNfa multi, MultiNfa::CompileSearch(bodies));
   EXPECT_EQ(multi.alphabet().size(), 59u);
   EXPECT_TRUE(LazyMultiDfa::Make(&multi).status().IsInvalidArgument());
-  AlphabetScratch scratch;
   List l = L("[a]");  // Items carry val; `a` has val null -> no matches
-  EXPECT_EQ(multi.MatchAll(store_, l, &scratch), 0u);
+  EXPECT_EQ(multi.MatchAll(store_, l), 0u);
 }
 
 TEST_F(MultiNfaTest, SixtyFourPatternsFillTheMask) {
   std::vector<ListPatternRef> bodies(64, LP("a").body);
   ASSERT_OK_AND_ASSIGN(MultiNfa multi, MultiNfa::CompileSearch(bodies));
   EXPECT_EQ(multi.full_mask(), ~0ULL);
-  AlphabetScratch scratch;
-  EXPECT_EQ(multi.MatchAll(store_, L("[a]"), &scratch), ~0ULL);
-  EXPECT_EQ(multi.MatchAll(store_, L("[b]"), &scratch), 0u);
+  EXPECT_EQ(multi.MatchAll(store_, L("[a]")), ~0ULL);
+  EXPECT_EQ(multi.MatchAll(store_, L("[b]")), 0u);
 }
 
 }  // namespace
