@@ -56,12 +56,12 @@ done
 # Canonical scrape for the conformance check (server is still up inside
 # the feed's trailing sleep).
 curl -sf "$url/metrics" -o "$out/metrics.txt"
-curl -sf "$url/digests" -o "$out/digests.json"
+curl -sf "$url/plans" -o "$out/plans.json"
 
 wait "$shell_pid"
 
 "$CHECK_BIN" --check "$out/metrics.txt"
 grep -Eq 'aqua_exec_executes_total [1-9]' "$out/metrics.txt"
 grep -q 'aqua_digest_calls_total{digest=' "$out/metrics.txt"
-grep -q '"digests"' "$out/digests.json"
+grep -q '"plans"' "$out/plans.json"
 echo "serve smoke OK: $((ROUNDS * 2)) queries served alongside scrapes"

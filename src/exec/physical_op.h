@@ -166,7 +166,7 @@ class PhysicalOp {
 size_t ApproxDatumBytes(const Datum& d);
 
 /// The post-run harvest walk: flattens the executed op tree into
-/// `obs::OpSample`s for `StatsWarehouse::Harvest`, preorder, with stable
+/// `obs::OpSample`s for `StatsWarehouse::Record`, preorder, with stable
 /// child-index paths ("0", "0.0", "0.1", ...). Ops that never ran
 /// (short-circuited branches) are skipped. `node_fp` is
 /// `obs::FingerprintPlan` of each op's subplan.

@@ -1,11 +1,8 @@
 #include "obs/digest.h"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-
-#include "obs/json.h"
+#include <vector>
 
 namespace aqua::obs {
 
@@ -212,6 +209,13 @@ uint64_t FingerprintPlan(const PlanRef& plan) {
   return Fnv1a(NormalizePlan(plan));
 }
 
+std::string FingerprintHex(uint64_t fp) {
+  char buf[20];
+  std::snprintf(buf, sizeof(buf), "%016llx",
+                static_cast<unsigned long long>(fp));
+  return buf;
+}
+
 double EstimateQuantile(
     const std::array<uint64_t, Histogram::kNumBuckets>& buckets,
     uint64_t count, double q) {
@@ -241,228 +245,6 @@ double EstimateQuantile(
     cum += c;
   }
   return last_upper;
-}
-
-namespace {
-
-size_t DefaultDigestCapacity() {
-  // NOLINTNEXTLINE(concurrency-mt-unsafe): read-only getenv at init.
-  const char* env = std::getenv("AQUA_DIGEST_CAP");
-  if (env != nullptr && *env != '\0') {
-    long n = std::strtol(env, nullptr, 10);
-    if (n >= 1) return static_cast<size_t>(n);
-  }
-  return 4096;
-}
-
-}  // namespace
-
-DigestTable::DigestTable(size_t capacity) : capacity_(capacity) {}
-
-DigestTable& DigestTable::Global() {
-  static DigestTable* instance = new DigestTable();  // leaked
-  return *instance;
-}
-
-void DigestTable::EvictLocked(size_t cap) {
-  while (entries_.size() > cap) {
-    auto victim = entries_.begin();
-    for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-      if (it->second.last_update_seq < victim->second.last_update_seq) {
-        victim = it;
-      }
-    }
-    entries_.erase(victim);
-  }
-}
-
-void DigestTable::set_capacity(size_t cap) {
-  MutexLock lock(mu_);
-  capacity_ = cap;
-  EvictLocked(cap != 0 ? cap : DefaultDigestCapacity());
-}
-
-size_t DigestTable::capacity() const {
-  MutexLock lock(mu_);
-  return capacity_ != 0 ? capacity_ : DefaultDigestCapacity();
-}
-
-void DigestTable::Record(uint64_t fingerprint, std::string_view text,
-                         uint64_t wall_ns, uint64_t mem_peak_bytes,
-                         StatusCode code, bool store_commit) {
-  MutexLock lock(mu_);
-  bool is_new = entries_.find(fingerprint) == entries_.end();
-  if (is_new) {
-    // Make room *before* inserting so the new row can never be its own
-    // eviction victim.
-    size_t cap = capacity_ != 0 ? capacity_ : DefaultDigestCapacity();
-    if (cap >= 1 && entries_.size() >= cap) EvictLocked(cap - 1);
-  }
-  Entry& e = entries_[fingerprint];
-  if (e.calls == 0) {
-    e.text = std::string(text);
-    e.min_ns = wall_ns;
-    e.max_ns = wall_ns;
-  } else {
-    e.min_ns = std::min(e.min_ns, wall_ns);
-    e.max_ns = std::max(e.max_ns, wall_ns);
-  }
-  ++e.calls;
-  e.total_ns += wall_ns;
-  e.peak_mem_bytes = std::max(e.peak_mem_bytes, mem_peak_bytes);
-  if (code == StatusCode::kCancelled) ++e.cancelled;
-  if (code == StatusCode::kDeadlineExceeded) ++e.deadline_exceeded;
-  if (store_commit) ++e.store_commits;
-  e.last_update_seq = ++update_seq_;
-  ++e.buckets[Histogram::BucketOf(wall_ns)];
-}
-
-std::vector<DigestRow> DigestTable::Rows() const {
-  std::vector<DigestRow> rows;
-  {
-    MutexLock lock(mu_);
-    rows.reserve(entries_.size());
-    for (const auto& [fp, e] : entries_) {
-      DigestRow r;
-      r.fingerprint = fp;
-      r.text = e.text;
-      r.calls = e.calls;
-      r.total_ns = e.total_ns;
-      r.min_ns = e.min_ns;
-      r.max_ns = e.max_ns;
-      r.peak_mem_bytes = e.peak_mem_bytes;
-      r.cancelled = e.cancelled;
-      r.deadline_exceeded = e.deadline_exceeded;
-      r.store_commits = e.store_commits;
-      r.buckets = e.buckets;
-      rows.push_back(std::move(r));
-    }
-  }
-  std::sort(rows.begin(), rows.end(), [](const DigestRow& a,
-                                         const DigestRow& b) {
-    return a.total_ns != b.total_ns ? a.total_ns > b.total_ns
-                                    : a.fingerprint < b.fingerprint;
-  });
-  return rows;
-}
-
-DigestRow DigestTable::Row(uint64_t fingerprint) const {
-  MutexLock lock(mu_);
-  auto it = entries_.find(fingerprint);
-  DigestRow r;
-  r.fingerprint = fingerprint;
-  if (it == entries_.end()) return r;
-  const Entry& e = it->second;
-  r.text = e.text;
-  r.calls = e.calls;
-  r.total_ns = e.total_ns;
-  r.min_ns = e.min_ns;
-  r.max_ns = e.max_ns;
-  r.peak_mem_bytes = e.peak_mem_bytes;
-  r.cancelled = e.cancelled;
-  r.deadline_exceeded = e.deadline_exceeded;
-  r.store_commits = e.store_commits;
-  r.buckets = e.buckets;
-  return r;
-}
-
-namespace {
-
-/// One-line form of a normalized plan for the table rendering: indentation
-/// collapsed to `op [params] > child [params] > ...`.
-std::string FlattenText(const std::string& text) {
-  std::string out;
-  bool at_line_start = true;
-  for (char c : text) {
-    if (c == '\n') {
-      at_line_start = true;
-      continue;
-    }
-    if (at_line_start) {
-      if (c == ' ') continue;
-      if (!out.empty()) out += " > ";
-      at_line_start = false;
-    }
-    out += c;
-  }
-  return out;
-}
-
-}  // namespace
-
-std::string DigestTable::ToText(size_t max_rows) const {
-  std::vector<DigestRow> rows = Rows();
-  std::string out =
-      "fingerprint       calls    total_ms   mean_ms    p50_ms     p95_ms "
-      "    p99_ms     max_ms     peak_kb    cxl   dl    wr    plan\n";
-  size_t n = std::min(rows.size(), max_rows);
-  for (size_t i = 0; i < n; ++i) {
-    const DigestRow& r = rows[i];
-    char buf[224];
-    std::snprintf(buf, sizeof(buf),
-                  "%016llx  %-8llu %-10.3f %-10.3f %-10.3f %-10.3f %-10.3f "
-                  "%-10.3f %-10llu %-5llu %-5llu %-5llu ",
-                  static_cast<unsigned long long>(r.fingerprint),
-                  static_cast<unsigned long long>(r.calls),
-                  static_cast<double>(r.total_ns) / 1e6, r.mean_ns() / 1e6,
-                  r.p50_ns() / 1e6, r.p95_ns() / 1e6, r.p99_ns() / 1e6,
-                  static_cast<double>(r.max_ns) / 1e6,
-                  static_cast<unsigned long long>(r.peak_mem_bytes / 1024),
-                  static_cast<unsigned long long>(r.cancelled),
-                  static_cast<unsigned long long>(r.deadline_exceeded),
-                  static_cast<unsigned long long>(r.store_commits));
-    out += buf;
-    out += FlattenText(r.text);
-    out += '\n';
-  }
-  if (rows.empty()) out += "(no digests recorded)\n";
-  if (rows.size() > n) {
-    out += "(" + std::to_string(rows.size() - n) + " more rows)\n";
-  }
-  return out;
-}
-
-std::string DigestTable::ToJson(size_t max_rows) const {
-  std::vector<DigestRow> rows = Rows();
-  JsonWriter w;
-  w.BeginObject();
-  w.Key("digests").BeginArray();
-  size_t n = std::min(rows.size(), max_rows);
-  for (size_t i = 0; i < n; ++i) {
-    const DigestRow& r = rows[i];
-    char fp[24];
-    std::snprintf(fp, sizeof(fp), "%016llx",
-                  static_cast<unsigned long long>(r.fingerprint));
-    w.BeginObject();
-    w.Key("fingerprint").String(fp);
-    w.Key("plan").String(FlattenText(r.text));
-    w.Key("calls").Uint(r.calls);
-    w.Key("total_ns").Uint(r.total_ns);
-    w.Key("min_ns").Uint(r.min_ns);
-    w.Key("max_ns").Uint(r.max_ns);
-    w.Key("peak_mem_bytes").Uint(r.peak_mem_bytes);
-    w.Key("cancelled").Uint(r.cancelled);
-    w.Key("deadline_exceeded").Uint(r.deadline_exceeded);
-    w.Key("store_commits").Uint(r.store_commits);
-    w.Key("mean_ns").Double(r.mean_ns());
-    w.Key("p50_ns").Double(r.p50_ns());
-    w.Key("p95_ns").Double(r.p95_ns());
-    w.Key("p99_ns").Double(r.p99_ns());
-    w.EndObject();
-  }
-  w.EndArray();
-  w.EndObject();
-  return w.TakeString();
-}
-
-void DigestTable::Reset() {
-  MutexLock lock(mu_);
-  entries_.clear();
-}
-
-size_t DigestTable::size() const {
-  MutexLock lock(mu_);
-  return entries_.size();
 }
 
 }  // namespace aqua::obs

@@ -3,15 +3,9 @@
 
 #include <array>
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <string>
 #include <string_view>
-#include <vector>
 
-#include "common/mutex.h"
-#include "common/status.h"
-#include "common/thread_annotations.h"
 #include "obs/metrics.h"
 #include "query/plan.h"
 
@@ -31,6 +25,9 @@ std::string NormalizePlan(const PlanRef& plan);
 /// `Fnv1a(NormalizePlan(plan))`.
 uint64_t FingerprintPlan(const PlanRef& plan);
 
+/// A fingerprint as the 16 lowercase hex digits every surface prints.
+std::string FingerprintHex(uint64_t fp);
+
 /// Estimates the `q`-quantile (0 < q < 1) of a sample set summarized by
 /// log-scale bucket counts (the 65-bucket scheme of `Histogram`): finds the
 /// bucket holding the target rank and interpolates linearly inside its
@@ -39,105 +36,10 @@ uint64_t FingerprintPlan(const PlanRef& plan);
 double EstimateQuantile(const std::array<uint64_t, Histogram::kNumBuckets>& buckets,
                         uint64_t count, double q);
 
-/// One row of the digest table, as copied out by `Rows`.
-struct DigestRow {
-  uint64_t fingerprint = 0;
-  std::string text;  ///< normalized plan (first-seen rendering)
-  uint64_t calls = 0;
-  uint64_t total_ns = 0;
-  uint64_t min_ns = 0;
-  uint64_t max_ns = 0;
-  /// Largest per-query peak-memory estimate seen for this shape.
-  uint64_t peak_mem_bytes = 0;
-  /// Executions that ended kCancelled / kDeadlineExceeded.
-  uint64_t cancelled = 0;
-  uint64_t deadline_exceeded = 0;
-  /// Executions that committed a new store version (advanced the epoch).
-  uint64_t store_commits = 0;
-  std::array<uint64_t, Histogram::kNumBuckets> buckets{};
-
-  double mean_ns() const {
-    return calls == 0 ? 0.0
-                      : static_cast<double>(total_ns) /
-                            static_cast<double>(calls);
-  }
-  double p50_ns() const { return EstimateQuantile(buckets, calls, 0.50); }
-  double p95_ns() const { return EstimateQuantile(buckets, calls, 0.95); }
-  double p99_ns() const { return EstimateQuantile(buckets, calls, 0.99); }
-};
-
-/// Process-wide accumulator of per-plan-shape execution statistics, keyed
-/// by the normalized-plan fingerprint (the pg_stat_statements idea applied
-/// to AQUA plans). `Record` is one mutex acquisition plus a handful of
-/// integer updates — cheap next to any query — and is called by
-/// `Executor::Execute` on every run, so the table is always on.
-///
-/// The table is bounded: past `capacity()` distinct shapes (default 4096,
-/// override via `AQUA_DIGEST_CAP` or `set_capacity`) recording a *new*
-/// fingerprint evicts the least-recently-updated row, so a workload that
-/// generates unbounded plan shapes cannot grow the table without limit.
-class DigestTable {
- public:
-  /// A standalone table (tests); `capacity` 0 means the default policy
-  /// (`AQUA_DIGEST_CAP` when set and positive, else 4096).
-  explicit DigestTable(size_t capacity = 0);
-
-  static DigestTable& Global();
-
-  /// Accumulates one execution of the plan shape `fingerprint` (whose
-  /// normalized rendering is `text` — stored on first sight) that took
-  /// `wall_ns`, peaked at `mem_peak_bytes` of estimated live data, and
-  /// finished with `code` (kCancelled / kDeadlineExceeded bump the
-  /// corresponding outcome counters). `store_commit` marks an execution
-  /// that committed a new store version.
-  void Record(uint64_t fingerprint, std::string_view text, uint64_t wall_ns,
-              uint64_t mem_peak_bytes = 0, StatusCode code = StatusCode::kOk,
-              bool store_commit = false) AQUA_EXCLUDES(mu_);
-
-  /// Copies the table out, sorted by total time descending.
-  std::vector<DigestRow> Rows() const AQUA_EXCLUDES(mu_);
-
-  /// The row for `fingerprint`; calls == 0 when absent.
-  DigestRow Row(uint64_t fingerprint) const AQUA_EXCLUDES(mu_);
-
-  /// Aligned table: fingerprint, calls, total/mean/p50/p95/p99/max ms, text.
-  std::string ToText(size_t max_rows = 32) const;
-  /// `{"digests":[{...}...]}`, sorted by total time descending.
-  std::string ToJson(size_t max_rows = 256) const;
-
-  void Reset() AQUA_EXCLUDES(mu_);
-  size_t size() const AQUA_EXCLUDES(mu_);
-
-  /// Changes the row cap, evicting least-recently-updated rows immediately
-  /// if the table is already over the new cap. `cap` 0 restores the
-  /// default policy.
-  void set_capacity(size_t cap) AQUA_EXCLUDES(mu_);
-  size_t capacity() const AQUA_EXCLUDES(mu_);
-
- private:
-  struct Entry {
-    std::string text;
-    uint64_t calls = 0;
-    uint64_t total_ns = 0;
-    uint64_t min_ns = 0;
-    uint64_t max_ns = 0;
-    uint64_t peak_mem_bytes = 0;
-    uint64_t cancelled = 0;
-    uint64_t deadline_exceeded = 0;
-    uint64_t store_commits = 0;
-    /// `update_seq_` at the last Record — the eviction recency key.
-    uint64_t last_update_seq = 0;
-    std::array<uint64_t, Histogram::kNumBuckets> buckets{};
-  };
-
-  /// Drops least-recently-updated entries until `entries_.size() <= cap`.
-  void EvictLocked(size_t cap) AQUA_REQUIRES(mu_);
-
-  mutable Mutex mu_;
-  std::map<uint64_t, Entry> entries_ AQUA_GUARDED_BY(mu_);
-  size_t capacity_ AQUA_GUARDED_BY(mu_) = 0;
-  uint64_t update_seq_ AQUA_GUARDED_BY(mu_) = 0;
-};
+/// The plan catalogue (obs/stats.h), which holds the per-plan-shape
+/// latency digests.
+class StatsWarehouse;
+using DigestTable = StatsWarehouse;
 
 }  // namespace aqua::obs
 

@@ -6,6 +6,7 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
@@ -13,6 +14,8 @@
 #include <cstring>
 #include <limits>
 #include <map>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "obs/tasks.h"
@@ -77,61 +80,69 @@ std::string ToOpenMetrics(const Snapshot& snap,
     out += m + "_sum " + std::to_string(h.sum) + "\n";
     out += m + "_count " + std::to_string(h.count) + "\n";
   }
-  if (opts.digests != nullptr) {
-    std::vector<DigestRow> rows = opts.digests->Rows();
-    if (rows.size() > opts.max_digests) rows.resize(opts.max_digests);
-    auto labeled = [](const DigestRow& r) {
-      char fp[24];
-      std::snprintf(fp, sizeof(fp), "%016llx",
-                    static_cast<unsigned long long>(r.fingerprint));
-      return std::string("{digest=\"") + fp + "\"}";
+  if (opts.plans != nullptr) {
+    constexpr size_t kMaxSeries = 50;
+    std::vector<PlanRow> rows = opts.plans->Rows();
+    // (label, record) of the top op records across all plans, by EWMA wall
+    // time.
+    std::vector<std::pair<std::string, const OpStatsRow*>> ops;
+    for (const PlanRow& r : rows) {
+      for (const OpStatsRow& op : r.ops) {
+        ops.emplace_back("{plan=\"" + FingerprintHex(r.fingerprint) +
+                             "\",path=\"" + op.path + "\",op=\"" +
+                             op.op_name + "\"}",
+                         &op);
+      }
+    }
+    std::sort(ops.begin(), ops.end(), [](const auto& a, const auto& b) {
+      return a.second->wall_ns != b.second->wall_ns
+                 ? a.second->wall_ns > b.second->wall_ns
+                 : a.first < b.first;
+    });
+    if (ops.size() > kMaxSeries) ops.resize(kMaxSeries);
+    // The top rows by total time (`ops` points into all of `rows`).
+    std::span<const PlanRow> top(rows.data(),
+                                 std::min(rows.size(), kMaxSeries));
+
+    auto digest_label = [](const PlanRow& r) {
+      return "{digest=\"" + FingerprintHex(r.fingerprint) + "\"}";
     };
     std::string calls = MangleName(opts.prefix, "digest_calls");
     AppendHelpType(&out, calls, "counter",
                    "executions per normalized-plan digest");
-    for (const DigestRow& r : rows) {
-      out += calls + "_total" + labeled(r) + " " + std::to_string(r.calls) +
-             "\n";
+    for (const PlanRow& r : top) {
+      out += calls + "_total" + digest_label(r) + " " +
+             std::to_string(r.calls) + "\n";
     }
     std::string ns = MangleName(opts.prefix, "digest_ns");
     AppendHelpType(&out, ns, "counter",
                    "total wall nanoseconds per normalized-plan digest");
-    for (const DigestRow& r : rows) {
-      out += ns + "_total" + labeled(r) + " " + std::to_string(r.total_ns) +
-             "\n";
+    for (const PlanRow& r : top) {
+      out += ns + "_total" + digest_label(r) + " " +
+             std::to_string(r.total_ns) + "\n";
     }
     struct Q {
       const char* suffix;
-      double (DigestRow::*fn)() const;
+      double (PlanRow::*fn)() const;
     };
-    for (const Q& q : {Q{"digest_p50_ns", &DigestRow::p50_ns},
-                       Q{"digest_p95_ns", &DigestRow::p95_ns},
-                       Q{"digest_p99_ns", &DigestRow::p99_ns}}) {
+    for (const Q& q : {Q{"digest_p50_ns", &PlanRow::p50_ns},
+                       Q{"digest_p95_ns", &PlanRow::p95_ns},
+                       Q{"digest_p99_ns", &PlanRow::p99_ns}}) {
       std::string name = MangleName(opts.prefix, q.suffix);
       AppendHelpType(&out, name, "gauge",
                      "estimated latency quantile per digest (ns)");
-      for (const DigestRow& r : rows) {
+      for (const PlanRow& r : top) {
         char val[32];
         std::snprintf(val, sizeof(val), "%.1f", (r.*q.fn)());
-        out += name + labeled(r) + " " + val + "\n";
+        out += name + digest_label(r) + " " + val + "\n";
       }
     }
-  }
-  if (opts.stats != nullptr) {
-    std::vector<OpStatsRow> rows = opts.stats->Rows();
-    if (rows.size() > opts.max_stats) rows.resize(opts.max_stats);
-    auto labeled = [](const OpStatsRow& r) {
-      char fp[24];
-      std::snprintf(fp, sizeof(fp), "%016llx",
-                    static_cast<unsigned long long>(r.plan_fp));
-      return std::string("{plan=\"") + fp + "\",path=\"" + r.path +
-             "\",op=\"" + r.op_name + "\"}";
-    };
-    std::string calls = MangleName(opts.prefix, "stats_op_calls");
-    AppendHelpType(&out, calls, "counter",
+
+    std::string op_calls = MangleName(opts.prefix, "stats_op_calls");
+    AppendHelpType(&out, op_calls, "counter",
                    "harvests folded into each per-op stats record");
-    for (const OpStatsRow& r : rows) {
-      out += calls + "_total" + labeled(r) + " " + std::to_string(r.calls) +
+    for (const auto& [label, rec] : ops) {
+      out += op_calls + "_total" + label + " " + std::to_string(rec->calls) +
              "\n";
     }
     struct G {
@@ -149,20 +160,20 @@ std::string ToOpenMetrics(const Snapshot& snap,
             &OpStatsRow::wall_ns}}) {
       std::string name = MangleName(opts.prefix, g.suffix);
       AppendHelpType(&out, name, "gauge", g.help);
-      for (const OpStatsRow& r : rows) {
+      for (const auto& [label, rec] : ops) {
         char val[32];
-        std::snprintf(val, sizeof(val), "%.3f", r.*g.field);
-        out += name + labeled(r) + " " + val + "\n";
+        std::snprintf(val, sizeof(val), "%.3f", rec->*g.field);
+        out += name + label + " " + val + "\n";
       }
     }
     std::string cpp = MangleName(opts.prefix, "stats_op_candidates_per_probe");
     AppendHelpType(&out, cpp, "gauge",
                    "EWMA observed index candidates per probe (indexed ops)");
-    for (const OpStatsRow& r : rows) {
-      if (r.candidates_per_probe < 0) continue;
+    for (const auto& [label, rec] : ops) {
+      if (rec->candidates_per_probe < 0) continue;
       char val[32];
-      std::snprintf(val, sizeof(val), "%.3f", r.candidates_per_probe);
-      out += cpp + labeled(r) + " " + val + "\n";
+      std::snprintf(val, sizeof(val), "%.3f", rec->candidates_per_probe);
+      out += cpp + label + " " + val + "\n";
     }
   }
   out += "# EOF\n";
@@ -458,15 +469,11 @@ std::string MetricsHttpServer::Respond(const std::string& path) const {
   std::string status_line = "HTTP/1.1 200 OK";
   if (path == "/metrics") {
     OpenMetricsOptions opts;
-    opts.digests = &DigestTable::Global();
-    opts.stats = &StatsWarehouse::Global();
+    opts.plans = &StatsWarehouse::Global();
     body = ToOpenMetrics(Registry::Global().Snap(), opts);
     content_type =
         "application/openmetrics-text; version=1.0.0; charset=utf-8";
-  } else if (path == "/digests") {
-    body = DigestTable::Global().ToJson();
-    content_type = "application/json";
-  } else if (path == "/stats") {
+  } else if (path == "/plans") {
     body = StatsWarehouse::Global().ToJson();
     content_type = "application/json";
   } else if (path == "/flight") {

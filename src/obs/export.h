@@ -8,7 +8,6 @@
 #include <thread>
 
 #include "common/status.h"
-#include "obs/digest.h"
 #include "obs/metrics.h"
 #include "obs/recorder.h"
 #include "obs/stats.h"
@@ -19,16 +18,12 @@ namespace aqua::obs {
 struct OpenMetricsOptions {
   /// Metric-name prefix (dots in registry names become underscores).
   std::string prefix = "aqua_";
-  /// When set, the digest table is exported as labeled series
-  /// (`<prefix>digest_calls_total{digest="<hex>"}` etc.), top rows by
-  /// total time first.
-  const DigestTable* digests = nullptr;
-  size_t max_digests = 50;
-  /// When set, the stats warehouse is exported as labeled per-op series
+  /// When set, the plan catalogue is exported as labeled series: per plan
+  /// (`<prefix>digest_calls_total{digest="<hex>"}` etc., the top 50 rows
+  /// by total time) and per op
   /// (`<prefix>stats_op_calls_total{plan="<hex>",path="0.0",op="..."}`
-  /// etc.), top rows by EWMA wall time first.
-  const StatsWarehouse* stats = nullptr;
-  size_t max_stats = 50;
+  /// etc., the top 50 op records by EWMA wall time).
+  const StatsWarehouse* plans = nullptr;
 };
 
 /// Renders `snap` in OpenMetrics text exposition format: counters (with
@@ -56,10 +51,9 @@ Status ParseHttpRequestPath(std::string_view req, std::string* path);
 
 /// Minimal embedded HTTP/1.1 listener serving the observability surface:
 ///
-///   GET /metrics  — OpenMetrics exposition of the registry + digest table
-///                    + stats warehouse
-///   GET /digests  — digest table as JSON
-///   GET /stats    — runtime statistics warehouse as JSON
+///   GET /metrics  — OpenMetrics exposition of the registry + plan
+///                    catalogue
+///   GET /plans    — plan catalogue as JSON
 ///   GET /flight   — flight-recorder dump as JSON
 ///   GET /tasks    — live task table (in-flight queries) as JSON
 ///   GET /healthz  — "ok"

@@ -11,12 +11,13 @@
 ///    of work, exportable as Chrome-trace JSON or an indented text report
 ///  * recorder.h — always-on flight recorder (per-thread lock-free event
 ///    rings) + the slow-query log
-///  * digest.h   — per-plan-shape query digest table keyed by the
-///    normalized-plan fingerprint, with log-bucket latency quantiles
+///  * digest.h   — plan normalization + fingerprints, log-bucket latency
+///    quantile estimates
 ///  * export.h   — OpenMetrics text exposition + the embedded scrape
 ///    endpoint (`MetricsHttpServer`)
-///  * stats.h    — runtime statistics warehouse: per-op observed
-///    cardinalities and learned selectivities fed back into the cost model
+///  * stats.h    — the plan catalogue: one row per plan fingerprint with
+///    its latency digest and per-op observed cardinalities, plus the
+///    learned selectivities fed back into the cost model
 ///  * json.h     — the minimal JSON writer the above share
 ///
 /// See docs/OBSERVABILITY.md for the metric naming scheme and how the

@@ -1,21 +1,24 @@
 #ifndef AQUA_OBS_STATS_H_
 #define AQUA_OBS_STATS_H_
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <string>
-#include <utility>
+#include <string_view>
 #include <vector>
 
 #include "common/mutex.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
+#include "obs/digest.h"
+#include "obs/metrics.h"
 
 namespace aqua::obs {
 
 /// One physical operator's measurements from one `Execute`, harvested by
 /// `exec::CollectOpSamples` after the run. Plain data: the exec layer
-/// produces these, the warehouse consumes them, so `obs` never has to see
+/// produces these, the catalogue consumes them, so `obs` never has to see
 /// an exec header.
 struct OpSample {
   /// `PlanOpToString` result — static storage, never freed.
@@ -38,10 +41,9 @@ struct OpSample {
   uint64_t candidates = 0;
 };
 
-/// One row of the warehouse, as copied out by `Rows` / `RowsFor`.
+/// One operator's EWMA-smoothed record inside a `PlanRow`.
 struct OpStatsRow {
-  uint64_t plan_fp = 0;     ///< normalized fingerprint of the *root* plan
-  std::string path;         ///< stable op path within that plan
+  std::string path;         ///< stable op path within the plan
   std::string op_name;
   uint64_t node_fp = 0;     ///< fingerprint of the subplan at this op
   uint64_t calls = 0;       ///< harvests folded into this record (confidence)
@@ -56,23 +58,55 @@ struct OpStatsRow {
   double candidates_per_probe = -1;
 };
 
-#ifndef AQUA_OBS_DISABLED
+/// One row of the plan catalogue: the digest columns of one plan shape
+/// plus its per-op records, as copied out by `Rows` / `Row`.
+struct PlanRow {
+  uint64_t fingerprint = 0;
+  std::string text;  ///< normalized plan (first-seen rendering)
+  uint64_t calls = 0;
+  uint64_t total_ns = 0;
+  uint64_t min_ns = 0;
+  uint64_t max_ns = 0;
+  /// Largest per-query peak-memory estimate seen for this shape.
+  uint64_t peak_mem_bytes = 0;
+  /// Executions that ended kCancelled / kDeadlineExceeded.
+  uint64_t cancelled = 0;
+  uint64_t deadline_exceeded = 0;
+  /// Executions that committed a new store version (advanced the epoch).
+  uint64_t store_commits = 0;
+  std::array<uint64_t, Histogram::kNumBuckets> buckets{};
+  /// Per-op EWMA records, in preorder of their op paths.
+  std::vector<OpStatsRow> ops;
 
-/// Process-wide runtime-statistics warehouse: per-operator observed
-/// cardinalities, candidates-per-probe, and wall/CPU time, harvested at the
-/// end of every `Executor::Execute` and EWMA-smoothed into bounded records.
+  double mean_ns() const {
+    return calls == 0 ? 0.0
+                      : static_cast<double>(total_ns) /
+                            static_cast<double>(calls);
+  }
+  double p50_ns() const { return EstimateQuantile(buckets, calls, 0.50); }
+  double p95_ns() const { return EstimateQuantile(buckets, calls, 0.95); }
+  double p99_ns() const { return EstimateQuantile(buckets, calls, 0.99); }
+  /// `text` on one line: `op [params] > child [params] > ...`.
+  std::string OneLineText() const;
+};
+
+/// The process-wide plan catalogue: one row per normalized-plan
+/// fingerprint (the pg_stat_statements idea applied to AQUA plans). A row
+/// accumulates the shape's latency digest (calls, total/min/max, a
+/// 65-bucket latency histogram, peak memory, outcome counts) and the
+/// EWMA-smoothed per-operator cardinalities, candidates-per-probe and
+/// wall/CPU time harvested from each `Execute`.
 ///
-/// Records are keyed by (normalized plan fingerprint, stable op path) — the
-/// same FNV-1a fingerprint scheme the digest table uses — so re-running the
-/// same query *shape* keeps folding into the same rows regardless of the
-/// constants. Each harvest also updates a per-subplan-fingerprint learned
-/// index (`LearnedSelectivity` / `LearnedCandidates`): this is what the
-/// cost model queries during rewriting, where a candidate subplan is
-/// estimated outside the context of any particular root plan.
+/// Beside the rows sits a learned index keyed by *subplan* fingerprint
+/// (`LearnedSelectivity` / `LearnedCandidates`): this is what the cost
+/// model queries during rewriting, where a candidate subplan is estimated
+/// outside the context of any particular root plan. The catalogue is
+/// optimizer state, so every build compiles and feeds it, whether or not
+/// the instrumentation is compiled in or enabled.
 ///
-/// Both tables are bounded like the digest table: past `capacity()`
-/// distinct keys (default 4096, override via `AQUA_STATS_CAP` or
-/// `set_capacity`) a new key evicts the least-recently-updated row.
+/// Bounded: past `capacity()` plan rows (4096) recording a new fingerprint
+/// evicts the least-recently-updated row; the learned index is held to
+/// the same number of entries the same way.
 class StatsWarehouse {
  public:
   /// EWMA smoothing factor: each harvest contributes 20%, so a record
@@ -83,21 +117,29 @@ class StatsWarehouse {
   /// the static default (see `CostModel`).
   static constexpr uint64_t kMinConfidence = 2;
 
-  /// A standalone warehouse (tests); `capacity` 0 means the default policy
-  /// (`AQUA_STATS_CAP` when set and positive, else 4096).
-  explicit StatsWarehouse(size_t capacity = 0);
+  static constexpr size_t kDefaultCapacity = 4096;
+
+  /// A standalone catalogue (tests) holding at most `capacity` plan rows.
+  explicit StatsWarehouse(size_t capacity = kDefaultCapacity);
 
   static StatsWarehouse& Global();
 
-  /// Folds one execution's per-op samples into the warehouse under the
-  /// root plan fingerprint `plan_fp`. One mutex acquisition for the whole
-  /// batch; bumps `stats.harvests` / `stats.evictions` and maintains the
-  /// `stats.records_live` gauge.
-  void Harvest(uint64_t plan_fp, const std::vector<OpSample>& samples)
-      AQUA_EXCLUDES(mu_);
+  /// Accumulates one execution of the plan shape `fingerprint` (whose
+  /// normalized rendering is `text` — stored on first sight) that took
+  /// `wall_ns`, peaked at `mem_peak_bytes` of estimated live data, and
+  /// finished with `code` (kCancelled / kDeadlineExceeded bump the
+  /// outcome counts); `store_commit` marks an execution that committed a
+  /// new store version. `ops` are the run's per-op samples, folded into
+  /// the row's op records and the learned index. One mutex acquisition;
+  /// bumps `stats.harvests` (when `ops` is non-empty) / `stats.evictions`
+  /// and maintains the `stats.records_live` gauge (plan rows).
+  void Record(uint64_t fingerprint, std::string_view text, uint64_t wall_ns,
+              uint64_t mem_peak_bytes = 0, StatusCode code = StatusCode::kOk,
+              bool store_commit = false,
+              const std::vector<OpSample>& ops = {}) AQUA_EXCLUDES(mu_);
 
   /// Learned selectivity (EWMA of out/in) for the subplan fingerprint
-  /// `node_fp`; false when the warehouse has never seen it. `calls` gets
+  /// `node_fp`; false when the catalogue has never seen it. `calls` gets
   /// the record's confidence (harvest count).
   bool LearnedSelectivity(uint64_t node_fp, double* selectivity,
                           uint64_t* calls) const AQUA_EXCLUDES(mu_);
@@ -107,66 +149,50 @@ class StatsWarehouse {
   bool LearnedCandidates(uint64_t node_fp, double* candidates_per_probe,
                          uint64_t* calls) const AQUA_EXCLUDES(mu_);
 
-  /// Copies the table out, sorted by EWMA wall time descending.
-  std::vector<OpStatsRow> Rows() const AQUA_EXCLUDES(mu_);
+  /// Copies the rows out, sorted by total time descending.
+  std::vector<PlanRow> Rows() const AQUA_EXCLUDES(mu_);
 
-  /// The records of one plan fingerprint, sorted by op path (preorder).
-  std::vector<OpStatsRow> RowsFor(uint64_t plan_fp) const AQUA_EXCLUDES(mu_);
+  /// The row for `fingerprint`; calls == 0 and no ops when absent.
+  PlanRow Row(uint64_t fingerprint) const AQUA_EXCLUDES(mu_);
 
-  /// Aligned table: plan fp, path, op, calls, in/out rows, selectivity,
-  /// candidates-per-probe, wall ms.
-  std::string ToText(size_t max_rows = 32) const;
-  /// `{"stats":[{...}...]}`, sorted by EWMA wall time descending.
+  /// `{"plans":[{...,"ops":[...]}...]}`, sorted by total time descending.
   std::string ToJson(size_t max_rows = 256) const;
 
-  /// Writes every record as a line-oriented text file (format documented
-  /// in docs/OBSERVABILITY.md) so benches and daemons warm up across runs.
-  Status Save(const std::string& path) const;
-  /// Merges records from `Save` output into this warehouse (existing keys
-  /// are overwritten; unrelated records are kept).
-  Status Load(const std::string& path);
+  /// Writes every row and learned entry as an `aqua-stats v2` text file
+  /// (format documented in docs/OBSERVABILITY.md) so benches and daemons
+  /// warm up across runs.
+  Status Save(const std::string& path) const AQUA_EXCLUDES(mu_);
+  /// Merges `Save` output (v2, or v1 op records only) into this catalogue:
+  /// each plan in the file replaces the row of the same fingerprint,
+  /// unrelated rows are kept. All or nothing: a file that fails to parse
+  /// leaves the catalogue unchanged.
+  Status Load(const std::string& path) AQUA_EXCLUDES(mu_);
 
   void Reset() AQUA_EXCLUDES(mu_);
+  /// Plan rows held.
   size_t size() const AQUA_EXCLUDES(mu_);
-
-  /// Changes the record cap (both tables), evicting immediately if over.
-  /// `cap` 0 restores the default policy.
-  void set_capacity(size_t cap) AQUA_EXCLUDES(mu_);
-  size_t capacity() const AQUA_EXCLUDES(mu_);
+  size_t capacity() const { return capacity_; }
 
  private:
-  struct Record {
-    std::string op_name;
-    uint64_t node_fp = 0;
-    uint64_t calls = 0;
-    double in_rows = 0;
-    double out_rows = 0;
-    double wall_ns = 0;
-    double cpu_ns = 0;
-    double selectivity = 0;
-    double candidates_per_probe = -1;
-    uint64_t last_update_seq = 0;
-  };
   struct Learned {
     uint64_t calls = 0;
     double selectivity = 0;
     double candidates_per_probe = -1;
     uint64_t last_update_seq = 0;
   };
-  using Key = std::pair<uint64_t, std::string>;  // (plan_fp, op path)
+  struct Entry {
+    PlanRow row;
+    /// `update_seq_` at the last update — the eviction recency key.
+    uint64_t last_update_seq = 0;
+  };
 
-  size_t CapLocked() const AQUA_REQUIRES(mu_);
-  /// Drops least-recently-updated entries until both tables fit `cap`;
-  /// returns how many were dropped.
-  size_t EvictLocked(size_t cap) AQUA_REQUIRES(mu_);
-  void FoldSampleLocked(uint64_t plan_fp, const OpSample& s)
+  void FoldSampleLocked(PlanRow* row, const OpSample& s, uint64_t seq)
       AQUA_REQUIRES(mu_);
-  static OpStatsRow MakeRow(const Key& key, const Record& r);
 
+  const size_t capacity_;
   mutable Mutex mu_;
-  std::map<Key, Record> records_ AQUA_GUARDED_BY(mu_);
+  std::map<uint64_t, Entry> rows_ AQUA_GUARDED_BY(mu_);
   std::map<uint64_t, Learned> learned_ AQUA_GUARDED_BY(mu_);
-  size_t capacity_ AQUA_GUARDED_BY(mu_) = 0;
   uint64_t update_seq_ AQUA_GUARDED_BY(mu_) = 0;
 };
 
@@ -175,48 +201,6 @@ class StatsWarehouse {
 Status SaveStats(const std::string& path = "");
 /// `Global().Load(path)`; an empty `path` resolves `AQUA_STATS_FILE`.
 Status LoadStats(const std::string& path = "");
-
-#else  // AQUA_OBS_DISABLED
-
-/// Compiled-out stub: harvests vanish, lookups always miss, persistence is
-/// a no-op — so the cost model and rewriter fall back to their static
-/// selectivity constants (the CI no-obs job proves tier-1 tests pass
-/// against this shape).
-class StatsWarehouse {
- public:
-  static constexpr double kAlpha = 0.2;
-  static constexpr uint64_t kMinConfidence = 2;
-
-  explicit StatsWarehouse(size_t = 0) {}
-  static StatsWarehouse& Global() {
-    static StatsWarehouse stub;
-    return stub;
-  }
-  void Harvest(uint64_t, const std::vector<OpSample>&) {}
-  bool LearnedSelectivity(uint64_t, double*, uint64_t*) const {
-    return false;
-  }
-  bool LearnedCandidates(uint64_t, double*, uint64_t*) const {
-    return false;
-  }
-  std::vector<OpStatsRow> Rows() const { return {}; }
-  std::vector<OpStatsRow> RowsFor(uint64_t) const { return {}; }
-  std::string ToText(size_t = 32) const {
-    return "(runtime statistics compiled out)\n";
-  }
-  std::string ToJson(size_t = 256) const { return "{\"stats\":[]}"; }
-  Status Save(const std::string&) const { return Status::OK(); }
-  Status Load(const std::string&) { return Status::OK(); }
-  void Reset() {}
-  size_t size() const { return 0; }
-  void set_capacity(size_t) {}
-  size_t capacity() const { return 0; }
-};
-
-inline Status SaveStats(const std::string& = "") { return Status::OK(); }
-inline Status LoadStats(const std::string& = "") { return Status::OK(); }
-
-#endif  // AQUA_OBS_DISABLED
 
 }  // namespace aqua::obs
 

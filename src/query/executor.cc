@@ -52,16 +52,12 @@ Result<Datum> Executor::Execute(const PlanRef& plan) {
                            : obs::DefaultQueryMemLimitBytes();
   if (mem_limit != 0) qctx.set_mem_limit_bytes(mem_limit);
 
-#ifndef AQUA_OBS_DISABLED
-  std::string normalized;
-  uint64_t fingerprint = 0;
-  if (obs::Registry::enabled()) {
-    normalized = obs::NormalizePlan(plan);
-    fingerprint = obs::Fnv1a(normalized);
-    qctx.set_fingerprint(fingerprint);
-    qctx.set_plan_text(normalized);
-  }
-#endif
+  // The plan catalogue key: the optimizer's learned statistics hang off
+  // it, so it is computed in every build.
+  std::string normalized = obs::NormalizePlan(plan);
+  uint64_t fingerprint = obs::Fnv1a(normalized);
+  qctx.set_fingerprint(fingerprint);
+  qctx.set_plan_text(normalized);
 
   // Compile fresh per call: the physical ops carry this call's per-op
   // measurement atomics, so stats are per-Execute by construction.
@@ -124,7 +120,6 @@ Result<Datum> Executor::Execute(const PlanRef& plan) {
   // COW bytes kept only for snapshots.
   const ObjectStore& store = db_->store();
   bool store_commit = store.epoch() != epoch_before;
-  (void)store_commit;  // digest input; unused when obs is compiled out
   AQUA_OBS_GAUGE_SET("store.epoch", store.epoch());
   AQUA_OBS_GAUGE_SET("store.versions_live", store.versions_live());
   AQUA_OBS_GAUGE_SET("store.cow_copies", store.cow_copies());
@@ -132,21 +127,18 @@ Result<Datum> Executor::Execute(const PlanRef& plan) {
   AQUA_OBS_GAUGE_SET("store.retained_bytes", store.retained_bytes());
   last_counters_ = obs::Registry::Global().Snap().DeltaSince(before);
 
+  // Plan catalogue: this run's latency and outcome, plus its per-op
+  // observations (cardinalities, candidates-per-probe, wall/CPU) folded
+  // into the learned records the cost model reads back.
+  std::vector<obs::OpSample> samples;
+  exec::CollectOpSamples(root, &samples);
+  obs::StatsWarehouse::Global().Record(fingerprint, normalized, wall_ns,
+                                       qctx.mem_peak_bytes(),
+                                       result.status().code(), store_commit,
+                                       samples);
+
 #ifndef AQUA_OBS_DISABLED
   if (obs::Registry::enabled()) {
-    // Digest table: accumulate under the normalized-plan fingerprint
-    // (computed before the run for the task table).
-    obs::DigestTable::Global().Record(fingerprint, normalized, wall_ns,
-                                      qctx.mem_peak_bytes(),
-                                      result.status().code(), store_commit);
-
-    // Stats warehouse: fold this run's per-op observations (cardinalities,
-    // candidates-per-probe, wall/CPU) into the learned records the cost
-    // model reads back. Keyed by the same fingerprint as the digest row.
-    std::vector<obs::OpSample> samples;
-    exec::CollectOpSamples(root, &samples);
-    obs::StatsWarehouse::Global().Harvest(fingerprint, samples);
-
     // Flight recorder: one structured event per Execute, with the
     // counter-delta highlights and the parallel-path shape.
     obs::FlightEvent ev;
@@ -274,19 +266,15 @@ void Executor::ExecuteGroup(const std::vector<PlanRef>& plans,
                            : obs::DefaultQueryMemLimitBytes();
   if (mem_limit != 0) qctx.set_mem_limit_bytes(mem_limit);
 
-#ifndef AQUA_OBS_DISABLED
   std::vector<std::string> normalized(group.size());
   std::vector<uint64_t> fingerprints(group.size(), 0);
-  if (obs::Registry::enabled()) {
-    for (size_t j = 0; j < group.size(); ++j) {
-      normalized[j] = obs::NormalizePlan(group[j]);
-      fingerprints[j] = obs::Fnv1a(normalized[j]);
-    }
-    // The task table shows the group under its first member's shape.
-    qctx.set_fingerprint(fingerprints[0]);
-    qctx.set_plan_text(normalized[0]);
+  for (size_t j = 0; j < group.size(); ++j) {
+    normalized[j] = obs::NormalizePlan(group[j]);
+    fingerprints[j] = obs::Fnv1a(normalized[j]);
   }
-#endif
+  // The task table shows the group under its first member's shape.
+  qctx.set_fingerprint(fingerprints[0]);
+  qctx.set_plan_text(normalized[0]);
 
   exec::ExecContext ctx;
   ctx.db = db_;
@@ -311,32 +299,21 @@ void Executor::ExecuteGroup(const std::vector<PlanRef>& plans,
     return r;
   }();
   uint64_t wall_ns = wall.ElapsedNs();
-  (void)wall_ns;  // digest input; unused when obs is compiled out
 
   // Batch-fatal outcomes (shared-input failure, item type error,
   // cancellation, deadline) apply to every member — a standalone Execute
   // of each would have failed the same way. Otherwise each member takes
   // its own per-plan result.
+  // Each member also records its own catalogue row (which identifies
+  // co-compilable shapes), with the batch wall time attributed evenly
+  // across the group.
   for (size_t j = 0; j < group.size(); ++j) {
     (*out)[members[j]] =
         run.ok() ? root->plan_results()[j] : Result<Datum>(run.status());
+    obs::StatsWarehouse::Global().Record(
+        fingerprints[j], normalized[j], wall_ns / group.size(),
+        qctx.mem_peak_bytes(), (*out)[members[j]].status().code());
   }
-
-#ifndef AQUA_OBS_DISABLED
-  if (obs::Registry::enabled()) {
-    // Each member records its own digest row (the `\hot` feed that
-    // identifies co-compilable shapes), with the batch wall time
-    // attributed evenly across the group.
-    for (size_t j = 0; j < group.size(); ++j) {
-      StatusCode code = run.ok() ? root->plan_results()[j].status().code()
-                                 : run.status().code();
-      obs::DigestTable::Global().Record(fingerprints[j], normalized[j],
-                                        wall_ns / group.size(),
-                                        qctx.mem_peak_bytes(), code,
-                                        /*store_commit=*/false);
-    }
-  }
-#endif
 }
 
 void Executor::CollectOpStats(const exec::PhysicalOpRef& op) {

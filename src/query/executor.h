@@ -81,7 +81,7 @@ class Executor {
   /// batched plans run against one pinned snapshot with no execution-order
   /// guarantee between plans of a group. Per-batch lifecycle (one
   /// `QueryContext`: deadline, memory budget, cancellation) covers the
-  /// whole group; the digest table records each member plan individually
+  /// whole group; the plan catalogue records each member plan individually
   /// (wall time attributed evenly across the group). `stats()`, `trace()`
   /// and `ExplainAnalyze` reflect only the plans that fell back to
   /// `Execute`.

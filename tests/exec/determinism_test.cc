@@ -163,7 +163,6 @@ TEST_F(DeterminismTest, StatsCountersAreThreadCountInvariant) {
   }
 }
 
-#ifndef AQUA_OBS_DISABLED
 TEST_F(DeterminismTest, StatsWarmedPlanIsByteIdenticalAtEveryThreadCount) {
   // Learned statistics may change WHICH plan the rewriter picks — never
   // WHAT it returns. Warm the warehouse with real executions, re-optimize,
@@ -190,7 +189,6 @@ TEST_F(DeterminismTest, StatsWarmedPlanIsByteIdenticalAtEveryThreadCount) {
   }
   obs::StatsWarehouse::Global().Reset();
 }
-#endif  // AQUA_OBS_DISABLED
 
 }  // namespace
 }  // namespace aqua

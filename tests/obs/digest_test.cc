@@ -190,116 +190,5 @@ TEST(EstimateQuantileTest, RankBeyondBucketMassFallsBackToLastUpper) {
   EXPECT_EQ(est, 7.0);
 }
 
-// --- digest table --------------------------------------------------------
-
-TEST(DigestTableTest, RecordAccumulatesPerFingerprint) {
-  DigestTable& table = DigestTable::Global();
-  table.Reset();
-  table.Record(0xabc, "plan A", 100);
-  table.Record(0xabc, "ignored-on-repeat", 300);
-  table.Record(0xdef, "plan B", 50);
-  EXPECT_EQ(table.size(), 2u);
-
-  DigestRow a = table.Row(0xabc);
-  EXPECT_EQ(a.calls, 2u);
-  EXPECT_EQ(a.total_ns, 400u);
-  EXPECT_EQ(a.min_ns, 100u);
-  EXPECT_EQ(a.max_ns, 300u);
-  EXPECT_EQ(a.text, "plan A");  // first-seen text wins
-  EXPECT_DOUBLE_EQ(a.mean_ns(), 200.0);
-
-  // Rows are sorted by total time descending.
-  std::vector<DigestRow> rows = table.Rows();
-  ASSERT_EQ(rows.size(), 2u);
-  EXPECT_EQ(rows[0].fingerprint, 0xabcu);
-  EXPECT_EQ(rows[1].fingerprint, 0xdefu);
-
-  // Absent fingerprints read as empty.
-  EXPECT_EQ(table.Row(0x999).calls, 0u);
-  table.Reset();
-  EXPECT_EQ(table.size(), 0u);
-}
-
-TEST(DigestTableTest, RecordsPeakMemoryAndLifecycleOutcomes) {
-  DigestTable table(/*capacity=*/16);
-  table.Record(0x1, "plan", 100, /*mem_peak_bytes=*/5000);
-  table.Record(0x1, "plan", 200, /*mem_peak_bytes=*/3000);
-  table.Record(0x1, "plan", 50, /*mem_peak_bytes=*/0, StatusCode::kCancelled);
-  table.Record(0x1, "plan", 50, /*mem_peak_bytes=*/0,
-               StatusCode::kDeadlineExceeded);
-  DigestRow r = table.Row(0x1);
-  EXPECT_EQ(r.calls, 4u);
-  EXPECT_EQ(r.peak_mem_bytes, 5000u);  // max across calls
-  EXPECT_EQ(r.cancelled, 1u);
-  EXPECT_EQ(r.deadline_exceeded, 1u);
-  std::string json = table.ToJson();
-  EXPECT_NE(json.find("\"peak_mem_bytes\":5000"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"cancelled\":1"), std::string::npos);
-  EXPECT_NE(json.find("\"deadline_exceeded\":1"), std::string::npos);
-}
-
-TEST(DigestTableTest, EvictsLeastRecentlyUpdatedAtCapacity) {
-  DigestTable table(/*capacity=*/3);
-  EXPECT_EQ(table.capacity(), 3u);
-  table.Record(0x1, "one", 10);
-  table.Record(0x2, "two", 10);
-  table.Record(0x3, "three", 10);
-  EXPECT_EQ(table.size(), 3u);
-  // Touch 0x1 so 0x2 becomes the least-recently-updated row.
-  table.Record(0x1, "one", 10);
-  // Inserting a fourth shape evicts 0x2, not the freshly-touched 0x1.
-  table.Record(0x4, "four", 10);
-  EXPECT_EQ(table.size(), 3u);
-  EXPECT_EQ(table.Row(0x2).calls, 0u);  // evicted
-  EXPECT_EQ(table.Row(0x1).calls, 2u);  // survived
-  EXPECT_EQ(table.Row(0x3).calls, 1u);
-  EXPECT_EQ(table.Row(0x4).calls, 1u);
-
-  // Eviction repeats as more shapes arrive: now 0x3 is the oldest.
-  table.Record(0x5, "five", 10);
-  EXPECT_EQ(table.size(), 3u);
-  EXPECT_EQ(table.Row(0x3).calls, 0u);
-}
-
-TEST(DigestTableTest, ShrinkingCapacityEvictsImmediately) {
-  DigestTable table(/*capacity=*/8);
-  for (uint64_t fp = 1; fp <= 6; ++fp) table.Record(fp, "p", 10);
-  EXPECT_EQ(table.size(), 6u);
-  table.set_capacity(2);
-  EXPECT_EQ(table.size(), 2u);
-  // The two most recently updated fingerprints survive.
-  EXPECT_EQ(table.Row(5).calls, 1u);
-  EXPECT_EQ(table.Row(6).calls, 1u);
-  EXPECT_EQ(table.Row(1).calls, 0u);
-}
-
-TEST(DigestTableTest, CapacityDefaultsToEnvOrFourThousand) {
-  ::setenv("AQUA_DIGEST_CAP", "2", 1);
-  DigestTable table;  // capacity 0 -> read env per operation
-  EXPECT_EQ(table.capacity(), 2u);
-  table.Record(0x1, "one", 10);
-  table.Record(0x2, "two", 10);
-  table.Record(0x3, "three", 10);
-  EXPECT_EQ(table.size(), 2u);
-  EXPECT_EQ(table.Row(0x1).calls, 0u);  // oldest row went first
-  ::unsetenv("AQUA_DIGEST_CAP");
-  EXPECT_EQ(table.capacity(), 4096u);
-}
-
-TEST(DigestTableTest, TextAndJsonRenderings) {
-  DigestTable& table = DigestTable::Global();
-  table.Reset();
-  table.Record(0x1234, "sub_select\n  scan [t]", 2000000);
-  std::string text = table.ToText();
-  EXPECT_NE(text.find("0000000000001234"), std::string::npos) << text;
-  EXPECT_NE(text.find("calls"), std::string::npos);
-  std::string json = table.ToJson();
-  EXPECT_NE(json.find("\"digests\""), std::string::npos);
-  EXPECT_NE(json.find("\"0000000000001234\""), std::string::npos);
-  EXPECT_NE(json.find("\"calls\":1"), std::string::npos);
-  EXPECT_NE(json.find("\"p99_ns\""), std::string::npos);
-  table.Reset();
-}
-
 }  // namespace
 }  // namespace aqua::obs

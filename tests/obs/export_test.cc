@@ -11,7 +11,7 @@
 #include <string>
 #include <thread>
 
-#include "obs/digest.h"
+#include "obs/stats.h"
 #include "obs/metrics.h"
 #include "test_util.h"
 
@@ -61,13 +61,18 @@ TEST(ToOpenMetricsTest, HistogramBucketsAreCumulativeLogBounds) {
 }
 
 TEST(ToOpenMetricsTest, DigestRowsExportAsLabeledSeries) {
-  DigestTable& table = DigestTable::Global();
-  table.Reset();
+  StatsWarehouse table;
   table.Record(0x1234, "sub_select [t]", 1000);
-  table.Record(0x1234, "sub_select [t]", 3000);
+  OpSample op;
+  op.op_name = "sub_select";
+  op.path = "0";
+  op.in_rows = 8;
+  op.out_rows = 2;
+  table.Record(0x1234, "sub_select [t]", 3000, 0, StatusCode::kOk, false,
+               {op});
   Snapshot snap;
   OpenMetricsOptions opts;
-  opts.digests = &table;
+  opts.plans = &table;
   std::string text = ToOpenMetrics(snap, opts);
   EXPECT_NE(
       text.find("aqua_digest_calls_total{digest=\"0000000000001234\"} 2"),
@@ -78,8 +83,13 @@ TEST(ToOpenMetricsTest, DigestRowsExportAsLabeledSeries) {
       std::string::npos);
   EXPECT_NE(text.find("aqua_digest_p50_ns{digest="), std::string::npos);
   EXPECT_NE(text.find("aqua_digest_p99_ns{digest="), std::string::npos);
+  // The row's op records export under the same plan fingerprint.
+  EXPECT_NE(text.find("aqua_stats_op_calls_total{plan=\"0000000000001234\","
+                      "path=\"0\",op=\"sub_select\"} 1"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("aqua_stats_op_selectivity{plan="), std::string::npos);
   EXPECT_OK(CheckOpenMetrics(text));
-  table.Reset();
 }
 
 TEST(ToOpenMetricsTest, NamesAreMangledToValidCharset) {
@@ -98,7 +108,7 @@ TEST(ToOpenMetricsTest, FullRegistrySnapshotPassesTheChecker) {
   Registry::Global().GetCounter("test.export_roundtrip")->Add(5);
   Registry::Global().GetHistogram("test.export_roundtrip_ns")->Record(1234);
   OpenMetricsOptions opts;
-  opts.digests = &DigestTable::Global();
+  opts.plans = &StatsWarehouse::Global();
   std::string text = ToOpenMetrics(Registry::Global().Snap(), opts);
   EXPECT_OK(CheckOpenMetrics(text));
 }
@@ -192,7 +202,7 @@ std::string BodyOf(const std::string& response) {
 
 TEST(MetricsHttpServerTest, ServesMetricsDigestsFlightAndHealth) {
   Registry::Global().GetCounter("exec.executes")->Add(1);
-  DigestTable::Global().Record(0xfeed, "scan [t]", 500);
+  StatsWarehouse::Global().Record(0xfeed, "scan [t]", 500);
 
   MetricsHttpServer server;
   ASSERT_OK(server.Start(0));  // ephemeral port
@@ -207,8 +217,9 @@ TEST(MetricsHttpServerTest, ServesMetricsDigestsFlightAndHealth) {
   EXPECT_NE(body.find("aqua_exec_executes_total"), std::string::npos);
   EXPECT_NE(body.find("aqua_digest_calls_total{digest="), std::string::npos);
 
-  std::string digests = BodyOf(HttpGet(server.port(), "/digests"));
-  EXPECT_NE(digests.find("\"digests\""), std::string::npos);
+  std::string plans = BodyOf(HttpGet(server.port(), "/plans"));
+  EXPECT_NE(plans.find("\"plans\""), std::string::npos);
+  EXPECT_NE(plans.find("\"000000000000feed\""), std::string::npos) << plans;
   std::string flight = BodyOf(HttpGet(server.port(), "/flight"));
   EXPECT_NE(flight.find("\"events\""), std::string::npos);
   std::string health = HttpGet(server.port(), "/healthz");
@@ -219,7 +230,7 @@ TEST(MetricsHttpServerTest, ServesMetricsDigestsFlightAndHealth) {
 
   server.Stop();
   EXPECT_FALSE(server.running());
-  DigestTable::Global().Reset();
+  StatsWarehouse::Global().Reset();
 }
 
 TEST(ParseHttpRequestPathTest, AcceptsWellFormedRequestLines) {

@@ -92,7 +92,10 @@ TEST_F(CostTest, SelectCascadeCostsAreComparable) {
   EXPECT_LT(cascade.cost, one.cost + 1500);
 }
 
-#ifndef AQUA_OBS_DISABLED
+/// Folds one execution of plan 0x1 carrying the op sample `s` into `wh`.
+void Harvest(obs::StatsWarehouse* wh, const obs::OpSample& s) {
+  wh->Record(0x1, "plan", 1000, 0, StatusCode::kOk, false, {s});
+}
 
 TEST_F(CostTest, LearnedSelectivityOverridesStaticDefault) {
   auto tp = TP("{name == \"a\"}(?*)");
@@ -110,7 +113,7 @@ TEST_F(CostTest, LearnedSelectivityOverridesStaticDefault) {
   s.in_rows = 500;
   s.out_rows = 450;
   s.wall_ns = 1000;
-  for (int i = 0; i < 2; ++i) wh.Harvest(0x1, {s});  // reach kMinConfidence
+  for (int i = 0; i < 2; ++i) Harvest(&wh, s);  // reach kMinConfidence
 
   CostModel learned(&db_, &wh);
   ASSERT_OK_AND_ASSIGN(CostEstimate warm, learned.Estimate(plan));
@@ -129,7 +132,7 @@ TEST_F(CostTest, LearnedSelectivityRequiresConfidence) {
   s.in_rows = 500;
   s.out_rows = 500;
   obs::StatsWarehouse wh(/*capacity=*/64);
-  wh.Harvest(0x1, {s});  // one harvest < kMinConfidence
+  Harvest(&wh, s);  // one harvest < kMinConfidence
 
   CostModel statics(&db_);
   CostModel learned(&db_, &wh);
@@ -158,13 +161,14 @@ TEST_F(CostTest, LearnedCandidatesFeedIndexedProbeEstimate) {
   s.probes = 1;
   s.candidates = 2;
   obs::StatsWarehouse wh(/*capacity=*/64);
-  for (int i = 0; i < 2; ++i) wh.Harvest(0x1, {s});
+  for (int i = 0; i < 2; ++i) Harvest(&wh, s);
 
   CostModel learned(&db_, &wh);
   ASSERT_OK_AND_ASSIGN(CostEstimate warm, learned.Estimate(plan));
   EXPECT_LT(warm.cost, cold.cost);
 }
 
+#ifndef AQUA_OBS_DISABLED
 TEST_F(CostTest, LearnedModeBumpsHitAndMissCounters) {
   obs::Snapshot before = obs::Registry::Global().Snap();
   auto tp = TP("{name == \"a\"}(?*)");
@@ -180,7 +184,7 @@ TEST_F(CostTest, LearnedModeBumpsHitAndMissCounters) {
   s.calls = 1;
   s.in_rows = 100;
   s.out_rows = 50;
-  for (int i = 0; i < 2; ++i) wh.Harvest(0x1, {s});
+  for (int i = 0; i < 2; ++i) Harvest(&wh, s);
   ASSERT_OK(learned.Estimate(plan).status());  // now a hit
 
   obs::Snapshot delta = obs::Registry::Global().Snap().DeltaSince(before);
@@ -195,7 +199,6 @@ TEST_F(CostTest, LearnedModeBumpsHitAndMissCounters) {
   EXPECT_EQ(d2.CounterValue("cost.learned_hits"), 0u);
   EXPECT_EQ(d2.CounterValue("cost.learned_misses"), 0u);
 }
-
 #endif  // AQUA_OBS_DISABLED
 
 TEST_F(CostTest, ListPlanEstimates) {

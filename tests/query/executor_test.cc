@@ -286,7 +286,6 @@ TEST_F(ExecutorTest, ExplainAnalyzeShowsEstimateActualAndQError) {
       << analyzed;
 }
 
-#ifndef AQUA_OBS_DISABLED
 TEST_F(ExecutorTest, ExecuteHarvestsPerOpRowsIntoStatsWarehouse) {
   obs::StatsWarehouse& wh = obs::StatsWarehouse::Global();
   wh.Reset();
@@ -295,7 +294,7 @@ TEST_F(ExecutorTest, ExecuteHarvestsPerOpRowsIntoStatsWarehouse) {
   ASSERT_OK(exec.Execute(plan).status());
 
   uint64_t fp = obs::FingerprintPlan(plan);
-  std::vector<obs::OpStatsRow> rows = wh.RowsFor(fp);
+  std::vector<obs::OpStatsRow> rows = wh.Row(fp).ops;
   ASSERT_EQ(rows.size(), 2u);  // sub_select + scan, preorder paths
   EXPECT_EQ(rows[0].path, "0");
   EXPECT_EQ(rows[1].path, "0.0");
@@ -308,7 +307,8 @@ TEST_F(ExecutorTest, ExecuteHarvestsPerOpRowsIntoStatsWarehouse) {
 
   // A second run of the same shape folds into the same rows.
   ASSERT_OK(exec.Execute(plan).status());
-  rows = wh.RowsFor(fp);
+  EXPECT_EQ(wh.Row(fp).calls, 2u);
+  rows = wh.Row(fp).ops;
   ASSERT_EQ(rows.size(), 2u);
   EXPECT_EQ(rows[0].calls, 2u);
 
@@ -320,7 +320,6 @@ TEST_F(ExecutorTest, ExecuteHarvestsPerOpRowsIntoStatsWarehouse) {
   EXPECT_NEAR(sel, 2.0 / 8.0, 1e-9);
   wh.Reset();
 }
-#endif  // AQUA_OBS_DISABLED
 
 TEST_F(ExecutorTest, PerOperatorStatsResetEachExecute) {
   Executor exec(&db_);
@@ -393,16 +392,16 @@ TEST_F(ExecutorTest, IndexedListSubSelectAttributesLayerCounters) {
   EXPECT_NE(json.find("\"index.probes\""), std::string::npos);
 }
 TEST_F(ExecutorTest, ExecutePopulatesDigestTableAndFlightRecorder) {
-  obs::DigestTable::Global().Reset();
+  obs::StatsWarehouse::Global().Reset();
   obs::FlightRecorder::Global().Clear();
   Executor exec(&db_);
   auto plan = Q::TreeSubSelect(Q::ScanTree("t"), TP("b(d ?)"));
   ASSERT_OK(exec.Execute(plan).status());
   ASSERT_OK(exec.Execute(plan).status());
 
-  // The digest table accumulates both runs under one normalized fingerprint.
+  // The catalogue accumulates both runs under one normalized fingerprint.
   uint64_t fp = obs::FingerprintPlan(plan);
-  obs::DigestRow row = obs::DigestTable::Global().Row(fp);
+  obs::PlanRow row = obs::StatsWarehouse::Global().Row(fp);
   EXPECT_EQ(row.calls, 2u);
   EXPECT_GT(row.total_ns, 0u);
   EXPECT_LE(row.min_ns, row.max_ns);
@@ -425,7 +424,7 @@ TEST_F(ExecutorTest, ExecutePopulatesDigestTableAndFlightRecorder) {
   events = obs::FlightRecorder::Global().Dump();
   ASSERT_EQ(events.size(), 3u);
   EXPECT_EQ(events.back().ok, 0u);
-  obs::DigestTable::Global().Reset();
+  obs::StatsWarehouse::Global().Reset();
   obs::FlightRecorder::Global().Clear();
 }
 

@@ -7,12 +7,11 @@
 //
 // Serve mode registers synthetic collections (a random genealogy and a
 // random song), runs a demo query mix through the executor so the registry,
-// digest table, stats warehouse, and flight recorder are populated, then
-// serves
+// plan catalogue, and flight recorder are populated, then serves
 //
-//   http://127.0.0.1:<port>/metrics   (plus /digests /stats /flight /healthz)
+//   http://127.0.0.1:<port>/metrics   (plus /plans /flight /tasks /healthz)
 //
-// When AQUA_STATS_FILE is set, the stats warehouse is loaded from it at
+// When AQUA_STATS_FILE is set, the plan catalogue is loaded from it at
 // startup (warm cost model from the first query) and saved back on clean
 // shutdown.
 //
@@ -138,7 +137,7 @@ int Main(int argc, char** argv) {
     }
   }
 
-  // Warm the stats warehouse across runs: load is best-effort (a missing
+  // Warm the plan catalogue across runs: load is best-effort (a missing
   // file just means a cold start), save happens on clean shutdown below.
   // NOLINTNEXTLINE(concurrency-mt-unsafe)
   const bool stats_file_set = std::getenv("AQUA_STATS_FILE") != nullptr;
@@ -146,8 +145,7 @@ int Main(int argc, char** argv) {
     Status loaded = obs::LoadStats();
     if (loaded.ok()) {
       std::cout << "aqua_metricsd: loaded "
-                << obs::StatsWarehouse::Global().size()
-                << " stats records\n";
+                << obs::StatsWarehouse::Global().size() << " plans\n";
     } else if (!loaded.IsNotFound()) {
       std::cerr << "aqua_metricsd: stats load: " << loaded << "\n";
     }
@@ -162,8 +160,7 @@ int Main(int argc, char** argv) {
 
   if (dump) {
     obs::OpenMetricsOptions opts;
-    opts.digests = &obs::DigestTable::Global();
-    opts.stats = &obs::StatsWarehouse::Global();
+    opts.plans = &obs::StatsWarehouse::Global();
     std::cout << obs::ToOpenMetrics(obs::Registry::Global().Snap(), opts);
     return 0;
   }
@@ -176,7 +173,7 @@ int Main(int argc, char** argv) {
   }
   std::cout << "aqua_metricsd serving http://127.0.0.1:" << server.port()
             << "/metrics (" << queries << " demo queries, "
-            << obs::DigestTable::Global().size() << " digests)\n"
+            << obs::StatsWarehouse::Global().size() << " plans)\n"
             << std::flush;
 
   std::signal(SIGINT, HandleSignal);

@@ -29,8 +29,8 @@
 namespace aqua {
 namespace {
 
-/// Fixed-width table renderer shared by `\hot` and `\stats`: collect header
-/// and pre-formatted cells, then pad each column to its widest entry.
+/// Fixed-width table renderer for `\plans`: collect header and
+/// pre-formatted cells, then pad each column to its widest entry.
 /// Numeric-looking columns end up effectively aligned because every cell is
 /// formatted with the same precision; the last column is left ragged (it
 /// holds plan text of unbounded width).
@@ -143,13 +143,11 @@ class Shell {
     if (cmd == "dump") return DumpDatabaseToFile(db(), rest);
     if (cmd == "load") return CmdLoad(rest);
     if (cmd == "\\metrics") return CmdObsMetrics(rest);
-    if (cmd == "\\stats") return CmdRuntimeStats(rest);
     if (cmd == "\\trace") return CmdTrace(rest);
     if (cmd == "\\threads") return CmdThreads(rest);
     if (cmd == "\\lint") return CmdLint(rest);
     if (cmd == "\\flight") return CmdFlight(rest);
-    if (cmd == "\\digests") return CmdDigests(rest);
-    if (cmd == "\\hot") return CmdHot(rest);
+    if (cmd == "\\plans") return CmdPlans(rest);
     if (cmd == "\\serve") return CmdServe(rest);
     if (cmd == "\\slowlog") return CmdSlowLog(rest);
     if (cmd == "\\profile") return CmdProfile(rest);
@@ -185,9 +183,13 @@ class Shell {
         "  nearest <coll> <literal> <n> top-n closest subtrees\n"
         "  dump <file> / load <file>   serialize / restore the database\n"
         "  \\metrics [json|reset]       process-wide metrics registry\n"
-        "  \\stats [fp|json|reset]      runtime statistics warehouse: "
-        "per-op observed rows + learned selectivities\n"
-        "  \\stats save|load [path]     persist/restore the warehouse "
+        "  \\plans [n] [by total|calls|p95]\n"
+        "                              plan catalogue: top-n plan shapes "
+        "(default 10, by total time)\n"
+        "  \\plans <fp>                 one plan: digest + per-op observed "
+        "rows and selectivities\n"
+        "  \\plans json|reset           the catalogue as JSON / clear it\n"
+        "  \\plans save|load [path]     persist/restore the catalogue "
         "(default path AQUA_STATS_FILE)\n"
         "  \\trace on|off               per-query span trees (subselect/"
         "split)\n"
@@ -201,10 +203,6 @@ class Shell {
         "refuses flagged plans; AQUA_LINT env)\n"
         "  \\flight [json|clear]        flight recorder: recent executes + "
         "morsels\n"
-        "  \\digests [json|reset]       per-plan-shape digest table "
-        "(calls, p50/p95/p99)\n"
-        "  \\hot [n]                    top-n plan shapes by total time "
-        "(default 10)\n"
         "  \\serve <port>|off           OpenMetrics scrape endpoint on "
         "127.0.0.1\n"
         "  \\slowlog <ms> [path]        slow-query log threshold (0 "
@@ -392,7 +390,7 @@ class Shell {
 
   // subselect/split always run through the Executor (results are
   // byte-identical to the direct algebra calls; see the determinism tests),
-  // so every shell query populates the digest table and flight recorder.
+  // so every shell query populates the plan catalogue and flight recorder.
   /// Strips a trailing ` &` (background marker) from `rest`; returns
   /// whether it was present.
   static bool StripBackground(std::string* rest) {
@@ -533,72 +531,124 @@ class Shell {
     return Status::OK();
   }
 
-  Status CmdRuntimeStats(const std::string& rest) {
+  Status CmdPlans(const std::string& rest) {
+    const Status usage = Status::InvalidArgument(
+        "usage: \\plans [n] [by total|calls|p95] | <fingerprint> | json | "
+        "reset | save|load [path]");
+    obs::StatsWarehouse& plans = obs::StatsWarehouse::Global();
     auto [arg, tail] = SplitFirst(rest);
-    obs::StatsWarehouse& wh = obs::StatsWarehouse::Global();
-    if (arg == "json") {
-      std::cout << wh.ToJson() << "\n";
-      return Status::OK();
-    }
-    if (arg == "reset") {
-      wh.Reset();
-      std::cout << "stats warehouse reset\n";
-      return Status::OK();
-    }
     if (arg == "save") {
       AQUA_RETURN_IF_ERROR(obs::SaveStats(tail));
-      std::cout << "stats saved\n";
+      std::cout << "plan catalogue saved\n";
       return Status::OK();
     }
     if (arg == "load") {
       AQUA_RETURN_IF_ERROR(obs::LoadStats(tail));
-      std::cout << "stats loaded (" << wh.size() << " records)\n";
+      std::cout << "plan catalogue loaded (" << plans.size() << " plans)\n";
       return Status::OK();
     }
-    std::vector<obs::OpStatsRow> rows;
-    if (arg.empty()) {
-      rows = wh.Rows();
-      if (rows.size() > 32) rows.resize(32);
-    } else {
+    if (arg == "json" && tail.empty()) {
+      std::cout << plans.ToJson() << "\n";
+      return Status::OK();
+    }
+    if (arg == "reset" && tail.empty()) {
+      plans.Reset();
+      std::cout << "plan catalogue reset\n";
+      return Status::OK();
+    }
+    // Fingerprints always print as 16 hex digits; a shorter number is n.
+    if (arg.size() == 16 && tail.empty()) {
       char* end = nullptr;
       uint64_t fp = std::strtoull(arg.c_str(), &end, 16);
-      if (end == arg.c_str() || *end != '\0') {
-        return Status::InvalidArgument(
-            "usage: \\stats [fingerprint|json|reset|save [path]|load "
-            "[path]]");
-      }
-      rows = wh.RowsFor(fp);
+      if (*end != '\0') return usage;
+      return ShowPlan(plans.Row(fp));
     }
+
+    std::vector<std::string> words;
+    std::istringstream in(rest);
+    for (std::string w; in >> w;) words.push_back(w);
+    size_t next = 0;
+    size_t top_n = 10;
+    if (next < words.size() && words[next] != "by") {
+      char* end = nullptr;
+      top_n = std::strtoul(words[next].c_str(), &end, 10);
+      if (end == words[next].c_str() || *end != '\0' || top_n == 0) {
+        return usage;
+      }
+      ++next;
+    }
+    std::string by = "total";
+    if (next < words.size()) {
+      if (words[next] != "by" || next + 2 != words.size()) return usage;
+      by = words[next + 1];
+    }
+    if (by != "total" && by != "calls" && by != "p95") return usage;
+
+    std::vector<obs::PlanRow> rows = plans.Rows();  // by total time
     if (rows.empty()) {
-      std::cout << "stats warehouse empty (run some queries first)\n";
+      std::cout << "plan catalogue empty (run some queries first)\n";
       return Status::OK();
     }
-    TextTable table({"plan", "path", "op", "calls", "in_rows", "out_rows",
-                     "sel", "cand/probe", "wall_ms"});
-    char cell[32];
-    for (const obs::OpStatsRow& r : rows) {
-      std::vector<std::string> cells;
-      std::snprintf(cell, sizeof(cell), "%016llx",
-                    static_cast<unsigned long long>(r.plan_fp));
-      cells.emplace_back(cell);
-      cells.push_back(r.path);
-      cells.push_back(r.op_name);
-      cells.push_back(std::to_string(r.calls));
-      std::snprintf(cell, sizeof(cell), "%.1f", r.in_rows);
-      cells.emplace_back(cell);
-      std::snprintf(cell, sizeof(cell), "%.1f", r.out_rows);
-      cells.emplace_back(cell);
-      std::snprintf(cell, sizeof(cell), "%.3f", r.selectivity);
-      cells.emplace_back(cell);
-      if (r.candidates_per_probe < 0) {
-        cells.emplace_back("-");
-      } else {
-        std::snprintf(cell, sizeof(cell), "%.1f", r.candidates_per_probe);
-        cells.emplace_back(cell);
-      }
-      std::snprintf(cell, sizeof(cell), "%.3f", r.wall_ns / 1e6);
-      cells.emplace_back(cell);
-      table.AddRow(std::move(cells));
+    if (by != "total") {
+      auto key = [&by](const obs::PlanRow& r) {
+        return by == "calls" ? static_cast<double>(r.calls) : r.p95_ns();
+      };
+      std::stable_sort(rows.begin(), rows.end(),
+                       [&key](const obs::PlanRow& a, const obs::PlanRow& b) {
+                         return key(a) > key(b);
+                       });
+    }
+    if (rows.size() > top_n) rows.resize(top_n);
+    std::cout << "plans by " << by << ":\n" << PlanTable(rows);
+    return Status::OK();
+  }
+
+  static std::string Fmt(const char* fmt, double v) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), fmt, v);
+    return buf;
+  }
+
+  static std::string Ms(double ns) { return Fmt("%.3f", ns / 1e6); }
+
+  /// The digest columns of `rows`, one line each.
+  static std::string PlanTable(const std::vector<obs::PlanRow>& rows) {
+    TextTable table({"fingerprint", "calls", "total_ms", "mean_ms", "p50_ms",
+                     "p95_ms", "p99_ms", "max_ms", "peak_kb", "cxl", "dl",
+                     "wr", "plan"});
+    for (const obs::PlanRow& r : rows) {
+      table.AddRow({obs::FingerprintHex(r.fingerprint),
+                    std::to_string(r.calls),
+                    Ms(static_cast<double>(r.total_ns)), Ms(r.mean_ns()),
+                    Ms(r.p50_ns()), Ms(r.p95_ns()), Ms(r.p99_ns()),
+                    Ms(static_cast<double>(r.max_ns)),
+                    std::to_string(r.peak_mem_bytes / 1024),
+                    std::to_string(r.cancelled),
+                    std::to_string(r.deadline_exceeded),
+                    std::to_string(r.store_commits), r.OneLineText()});
+    }
+    return table.ToString();
+  }
+
+  /// One catalogue row: its latency digest, plan text and per-op records.
+  Status ShowPlan(const obs::PlanRow& r) {
+    if (r.calls == 0 && r.ops.empty()) {
+      std::cout << "no plan " << obs::FingerprintHex(r.fingerprint)
+                << " in the catalogue\n";
+      return Status::OK();
+    }
+    std::cout << PlanTable({r}) << r.text;
+    if (r.ops.empty()) return Status::OK();
+    TextTable table({"path", "op", "calls", "in_rows", "out_rows", "sel",
+                     "cand/probe", "wall_ms"});
+    for (const obs::OpStatsRow& op : r.ops) {
+      table.AddRow({op.path, op.op_name, std::to_string(op.calls),
+                    Fmt("%.1f", op.in_rows), Fmt("%.1f", op.out_rows),
+                    Fmt("%.3f", op.selectivity),
+                    op.candidates_per_probe < 0
+                        ? "-"
+                        : Fmt("%.1f", op.candidates_per_probe),
+                    Ms(op.wall_ns)});
     }
     std::cout << table.ToString();
     return Status::OK();
@@ -781,64 +831,6 @@ class Shell {
     return Status::OK();
   }
 
-  Status CmdDigests(const std::string& arg) {
-    obs::DigestTable& table = obs::DigestTable::Global();
-    if (arg == "reset") {
-      table.Reset();
-      std::cout << "digest table reset\n";
-    } else if (arg == "json") {
-      std::cout << table.ToJson() << "\n";
-    } else if (arg.empty()) {
-      std::cout << table.ToText();
-    } else {
-      return Status::InvalidArgument("usage: \\digests [json|reset]");
-    }
-    return Status::OK();
-  }
-
-  Status CmdHot(const std::string& arg) {
-    size_t top_n = 10;
-    if (!arg.empty()) {
-      char* end = nullptr;
-      unsigned long n = std::strtoul(arg.c_str(), &end, 10);
-      if (end == arg.c_str() || *end != '\0' || n == 0) {
-        return Status::InvalidArgument("usage: \\hot [n]");
-      }
-      top_n = static_cast<size_t>(n);
-    }
-    std::vector<obs::DigestRow> rows = obs::DigestTable::Global().Rows();
-    if (rows.empty()) {
-      std::cout << "digest table empty (run some queries first)\n";
-      return Status::OK();
-    }
-    if (rows.size() > top_n) rows.resize(top_n);
-    std::cout << "hottest plan shapes by total time:\n";
-    TextTable table(
-        {"#", "calls", "total_ms", "mean_ms", "p95_ms", "fingerprint",
-         "plan"});
-    char cell[32];
-    for (size_t i = 0; i < rows.size(); ++i) {
-      const obs::DigestRow& r = rows[i];
-      std::vector<std::string> cells;
-      cells.push_back(std::to_string(i + 1));
-      cells.push_back(std::to_string(r.calls));
-      std::snprintf(cell, sizeof(cell), "%.3f",
-                    static_cast<double>(r.total_ns) / 1e6);
-      cells.emplace_back(cell);
-      std::snprintf(cell, sizeof(cell), "%.3f", r.mean_ns() / 1e6);
-      cells.emplace_back(cell);
-      std::snprintf(cell, sizeof(cell), "%.3f", r.p95_ns() / 1e6);
-      cells.emplace_back(cell);
-      std::snprintf(cell, sizeof(cell), "%016llx",
-                    static_cast<unsigned long long>(r.fingerprint));
-      cells.emplace_back(cell);
-      cells.push_back(r.text);
-      table.AddRow(std::move(cells));
-    }
-    std::cout << table.ToString();
-    return Status::OK();
-  }
-
   Status CmdServe(const std::string& arg) {
     if (arg == "off") {
       if (!server_.running()) {
@@ -866,7 +858,7 @@ class Shell {
         static_cast<uint16_t>(std::strtoul(arg.c_str(), nullptr, 10));
     AQUA_RETURN_IF_ERROR(server_.Start(port));
     std::cout << "serving on http://127.0.0.1:" << server_.port()
-              << "/metrics (also /digests /stats /flight /tasks /healthz)\n";
+              << "/metrics (also /plans /flight /tasks /healthz)\n";
     return Status::OK();
   }
 
@@ -941,19 +933,9 @@ class Shell {
                   static_cast<double>(quantile(0.99)) / 1e6,
                   static_cast<double>(samples.back()) / 1e6);
     std::cout << buf;
-    uint64_t fp = obs::FingerprintPlan(plan);
-    obs::DigestRow row = obs::DigestTable::Global().Row(fp);
-    if (row.calls > 0) {
-      std::snprintf(buf, sizeof(buf),
-                    "digest %016llx: %llu calls, total %.3f ms, p50 %.3f  "
-                    "p95 %.3f  p99 %.3f ms\n",
-                    static_cast<unsigned long long>(fp),
-                    static_cast<unsigned long long>(row.calls),
-                    static_cast<double>(row.total_ns) / 1e6,
-                    row.p50_ns() / 1e6, row.p95_ns() / 1e6,
-                    row.p99_ns() / 1e6);
-      std::cout << buf;
-    }
+    obs::PlanRow row =
+        obs::StatsWarehouse::Global().Row(obs::FingerprintPlan(plan));
+    if (row.calls > 0) std::cout << PlanTable({row});
     return Status::OK();
   }
 
