@@ -21,6 +21,26 @@ Status CheckAttrValue(const AttrDef& def, Value* value) {
 // ---------------------------------------------------------------------------
 // Internal machinery (callers hold mu_)
 
+namespace {
+
+/// True when `ref` holds the only reference to its pointee, which may then
+/// be written in place. References are only added under mu_, so a count of
+/// 1 stays 1. But `use_count()` is a relaxed load: reading 1 does not order
+/// a snapshot reader's last reads before our write. Copying the pointer
+/// increments the same count with an acq_rel read-modify-write, which reads
+/// the latest value and so synchronizes with every pin released before it.
+/// (A bare acquire fence would do the same, but thread sanitizers do not
+/// model fences.)
+template <typename T>
+bool SoleReference(const std::shared_ptr<T>& ref) {
+  if (ref.use_count() > 1) return false;
+  // NOLINTNEXTLINE(performance-unnecessary-copy-initialization)
+  [[maybe_unused]] std::shared_ptr<T> acquire = ref;
+  return true;
+}
+
+}  // namespace
+
 void ObjectStore::BeginMutation() {
   // The head version doubles as the "has this epoch been observed" flag:
   // it exists exactly when someone may hold the current state, so the
@@ -34,10 +54,9 @@ void ObjectStore::BeginMutation() {
 
 StoreChunk* ObjectStore::WritableChunk(size_t index) {
   std::shared_ptr<StoreChunk>& slot = chunks_[index];
-  // use_count > 1 means a live version still references this chunk. The
-  // count can only grow under mu_ (SnapshotLocked), so a racing reader
-  // dropping its pin at worst makes us clone once more than needed.
-  if (slot.use_count() > 1) {
+  // Shared means a live version still references this chunk. A racing
+  // reader dropping its pin at worst makes us clone once more than needed.
+  if (!SoleReference(slot)) {
     auto clone = std::make_shared<StoreChunk>();
     clone->objects.insert(clone->objects.end(), slot->objects.begin(),
                           slot->objects.end());
@@ -64,7 +83,7 @@ Oid ObjectStore::AppendValidated(TypeId type, std::vector<Value> attrs) {
   std::shared_ptr<std::vector<Oid>>& extent = extents_[type];
   if (extent == nullptr) {
     extent = std::make_shared<std::vector<Oid>>();
-  } else if (extent.use_count() > 1) {
+  } else if (!SoleReference(extent)) {
     extent = std::make_shared<std::vector<Oid>>(*extent);
     ++cow_copies_;
   }

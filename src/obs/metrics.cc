@@ -166,7 +166,7 @@ Registry::Registry() {
         "exec.batch_scan_rows", "stats.harvests", "stats.evictions",
         "cost.learned_hits", "cost.learned_misses",
         "lint.attr_scan_cells"}) {
-    counters_.emplace(name, std::unique_ptr<Counter>(new Counter(name)));
+    AddCounterLocked(name);
   }
   for (const char* name :
        {"exec.pool_workers_active", "exec.pool_queue_depth",
@@ -180,14 +180,18 @@ Registry::Registry() {
   }
 }
 
+Counter* Registry::AddCounterLocked(const std::string& name) {
+  // Counters are never removed, so the map size is the next dense slot.
+  size_t slot = counters_.size();
+  return counters_
+      .emplace(name, std::unique_ptr<Counter>(new Counter(name, slot)))
+      .first->second.get();
+}
+
 Counter* Registry::GetCounter(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = counters_.find(name);
-  if (it == counters_.end()) {
-    it = counters_.emplace(name, std::unique_ptr<Counter>(new Counter(name)))
-             .first;
-  }
-  return it->second.get();
+  return it != counters_.end() ? it->second.get() : AddCounterLocked(name);
 }
 
 Gauge* Registry::GetGauge(const std::string& name) {
@@ -210,12 +214,22 @@ Histogram* Registry::GetHistogram(const std::string& name) {
   return it->second.get();
 }
 
-Snapshot Registry::Snap() const {
+Snapshot Registry::Snap() const { return SnapWith(nullptr); }
+
+Snapshot Registry::ForQuery(const QueryContext::CounterValues& query) const {
+  return SnapWith(&query);
+}
+
+Snapshot Registry::SnapWith(const QueryContext::CounterValues* query) const {
   std::lock_guard<std::mutex> lock(mu_);
   Snapshot snap;
   snap.counters.reserve(counters_.size());
   for (const auto& [name, counter] : counters_) {
-    snap.counters.emplace_back(name, counter->value());
+    uint64_t v = counter->value();
+    if (query != nullptr) {
+      v = counter->slot() < query->size() ? (*query)[counter->slot()] : 0;
+    }
+    snap.counters.emplace_back(name, v);
   }
   snap.gauges.reserve(gauges_.size());
   for (const auto& [name, gauge] : gauges_) {

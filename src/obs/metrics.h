@@ -11,22 +11,36 @@
 #include <string_view>
 #include <vector>
 
+#include "obs/query_context.h"
+
 namespace aqua::obs {
 
 /// Monotonic named counter. `Add` is a relaxed atomic increment, cheap
-/// enough to leave on in production paths; thread-safe.
+/// enough to leave on in production paths; thread-safe. Inside a query it
+/// also adds into that query's value of the counter (`QueryContext`), so
+/// concurrent executions each see exactly their own counts.
 class Counter {
  public:
-  void Add(uint64_t n = 1) { value_.fetch_add(n, std::memory_order_relaxed); }
+  void Add(uint64_t n = 1) {
+    value_.fetch_add(n, std::memory_order_relaxed);
+    QueryContext* q = QueryContext::Current();
+    if (q != nullptr && slot_ < QueryContext::kCounterSlots) {
+      q->AddCounter(slot_, n);
+    }
+  }
   uint64_t value() const { return value_.load(std::memory_order_relaxed); }
   void Reset() { value_.store(0, std::memory_order_relaxed); }
   const std::string& name() const { return name_; }
+  /// Dense creation-order number; indexes `QueryContext`'s counter slots.
+  size_t slot() const { return slot_; }
 
  private:
   friend class Registry;
-  explicit Counter(std::string name) : name_(std::move(name)) {}
+  Counter(std::string name, size_t slot)
+      : name_(std::move(name)), slot_(slot) {}
 
   std::string name_;
+  size_t slot_;
   std::atomic<uint64_t> value_{0};
 };
 
@@ -150,12 +164,20 @@ class Registry {
   Histogram* GetHistogram(const std::string& name);
 
   Snapshot Snap() const;
+  /// `Snap()` with each counter's value taken from `query` (one
+  /// execution's counts, indexed by `Counter::slot()`; 0 past the slot
+  /// range) in place of its process total. Gauges and histograms stay
+  /// process-level.
+  Snapshot ForQuery(const QueryContext::CounterValues& query) const;
   /// Zeroes every counter and histogram (benchmark/test hygiene); the
   /// registered names and cached pointers stay valid.
   void ResetAll();
 
  private:
   Registry();
+  Snapshot SnapWith(const QueryContext::CounterValues* query) const;
+  /// Creates the counter `name`; the caller holds `mu_`.
+  Counter* AddCounterLocked(const std::string& name);
 
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;

@@ -1,7 +1,5 @@
 #include "obs/query_context.h"
 
-#ifndef AQUA_OBS_DISABLED
-
 #include <time.h>
 
 #include <cstdlib>
@@ -25,8 +23,6 @@ uint64_t MonotonicEpochNs() {
   static const uint64_t epoch = ClockNs(CLOCK_MONOTONIC);
   return epoch;
 }
-
-thread_local QueryContext* t_current_query = nullptr;
 
 }  // namespace
 
@@ -110,13 +106,11 @@ void QueryContext::AddMem(int64_t delta) {
   AQUA_OBS_GAUGE_ADD("query.mem_bytes", delta);
 }
 
-QueryContext* QueryContext::Current() { return t_current_query; }
-
-QueryContext::Scope::Scope(QueryContext* q) : prev_(t_current_query) {
-  t_current_query = q;
+QueryContext::CounterValues QueryContext::counters() const {
+  CounterValues out;
+  for (size_t i = 0; i < kCounterSlots; ++i) out[i] = counter(i);
+  return out;
 }
-
-QueryContext::Scope::~Scope() { t_current_query = prev_; }
 
 namespace {
 
@@ -140,5 +134,3 @@ uint64_t DefaultQueryMemLimitBytes() {
 }
 
 }  // namespace aqua::obs
-
-#endif  // AQUA_OBS_DISABLED

@@ -1,6 +1,7 @@
 #ifndef AQUA_OBS_QUERY_CONTEXT_H_
 #define AQUA_OBS_QUERY_CONTEXT_H_
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <mutex>
@@ -11,18 +12,20 @@
 
 namespace aqua::obs {
 
-#ifndef AQUA_OBS_DISABLED
-
 /// Per-query lifecycle state: a monotonic query id, an optional deadline
-/// and memory budget, a cooperative cancellation token, and the resource
+/// and memory budget, a cooperative cancellation token, the resource
 /// counters (CPU-ns, current/peak bytes, rows, tree/list nodes) that feed
-/// the live task table, the digest table, and the flight recorder.
+/// the live task table, the plan catalogue and the flight recorder, and
+/// this query's share of every registry counter.
 ///
-/// One QueryContext lives on the stack of `Executor::Execute` for exactly
-/// one execution. The executor installs it thread-locally (`Scope`) on the
-/// query thread, and the morsel scheduler re-installs it on every pool
-/// worker that participates in a fan-out, so the matcher inner loops reach
-/// it via `Current()` without any algebra-layer signature changes.
+/// One QueryContext lives on the stack of the executor's query lifecycle
+/// for exactly one execution (one plan, or one batched group). The
+/// executor installs it thread-locally (`Scope`) on the query thread, and
+/// the morsel scheduler re-installs it on every pool worker that
+/// participates in a fan-out, so the matcher inner loops reach it via
+/// `Current()` without any algebra-layer signature changes. It is compiled
+/// in every build: deadlines, memory budgets and `\kill` do not depend on
+/// the metric macros.
 ///
 /// Cancellation is cooperative: `Cancel` (from any thread — the shell's
 /// `\kill`, the metricsd watchdog, a deadline check) only sets a flag;
@@ -36,6 +39,11 @@ class QueryContext {
   /// keeps the overhead invisible while bounding cancellation latency to
   /// well under the 50 ms budget even on slow (sanitizer) builds.
   static constexpr size_t kCheckStride = 512;
+
+  /// Registry counters numbered below this (`Counter::slot()`, in creation
+  /// order) are also counted per query; the rest are process totals only.
+  static constexpr size_t kCounterSlots = 128;
+  using CounterValues = std::array<uint64_t, kCounterSlots>;
 
   QueryContext();
   ~QueryContext();
@@ -107,6 +115,20 @@ class QueryContext {
     return mem_peak_bytes_.load(std::memory_order_relaxed);
   }
 
+  /// Adds to this query's value of the registry counter in `slot`
+  /// (`Counter::Add` does so for the query installed on its thread).
+  void AddCounter(size_t slot, uint64_t n) {
+    counters_[slot].fetch_add(n, std::memory_order_relaxed);
+  }
+  /// This query's value of the counter in `slot` (0 past the slot range).
+  uint64_t counter(size_t slot) const {
+    return slot < kCounterSlots
+               ? counters_[slot].load(std::memory_order_relaxed)
+               : 0;
+  }
+  /// This query's value of every counter slot.
+  CounterValues counters() const;
+
   // --- progress -------------------------------------------------------
 
   void AddMorselsTotal(size_t n) {
@@ -156,15 +178,15 @@ class QueryContext {
   // --- thread-local installation --------------------------------------
 
   /// The context installed on this thread, or null outside a query.
-  static QueryContext* Current();
+  static QueryContext* Current() { return current_; }
 
   /// RAII installation of a context on the current thread (the executor
   /// on the query thread; the morsel scheduler on each pool worker).
   /// Nests: the previous context is restored on destruction.
   class Scope {
    public:
-    explicit Scope(QueryContext* q);
-    ~Scope();
+    explicit Scope(QueryContext* q) : prev_(current_) { current_ = q; }
+    ~Scope() { current_ = prev_; }
     Scope(const Scope&) = delete;
     Scope& operator=(const Scope&) = delete;
 
@@ -173,6 +195,8 @@ class QueryContext {
   };
 
  private:
+  static inline thread_local QueryContext* current_ = nullptr;
+
   uint64_t id_ = 0;
   uint64_t started_ns_ = 0;
   uint64_t fingerprint_ = 0;
@@ -194,6 +218,7 @@ class QueryContext {
   std::atomic<size_t> morsels_total_{0};
   std::atomic<size_t> morsels_done_{0};
   std::atomic<const char*> current_op_{nullptr};
+  std::array<std::atomic<uint64_t>, kCounterSlots> counters_{};
 };
 
 /// `AQUA_QUERY_TIMEOUT_MS` as nanoseconds (0 when unset/invalid). Read per
@@ -202,66 +227,6 @@ uint64_t DefaultQueryTimeoutNs();
 /// `AQUA_QUERY_MEM_LIMIT_MB` as bytes (0 when unset/invalid).
 uint64_t DefaultQueryMemLimitBytes();
 
-#else  // AQUA_OBS_DISABLED
-
-/// Compiled-out stub: every hook is an empty inline, `Current()` is
-/// constant null, so the lifecycle checkpoints in the matchers and the
-/// fan-out vanish entirely (the CI no-obs job proves tier-1 tests pass
-/// against this shape).
-class QueryContext {
- public:
-  static constexpr size_t kCheckStride = 512;
-
-  uint64_t id() const { return 0; }
-  void set_deadline_after_ns(uint64_t) {}
-  uint64_t deadline_ns() const { return 0; }
-  void set_mem_limit_bytes(uint64_t) {}
-  uint64_t mem_limit_bytes() const { return 0; }
-  void Cancel(StatusCode, std::string_view) {}
-  bool cancel_requested() const { return false; }
-  Status CheckPoint() { return Status::OK(); }
-  Status CancelStatus() const { return Status::OK(); }
-  void AddCpuNs(uint64_t) {}
-  void AddRows(uint64_t) {}
-  void AddNodes(uint64_t) {}
-  void AddMem(int64_t) {}
-  uint64_t cpu_ns() const { return 0; }
-  uint64_t rows() const { return 0; }
-  uint64_t nodes() const { return 0; }
-  uint64_t mem_bytes() const { return 0; }
-  uint64_t mem_peak_bytes() const { return 0; }
-  void AddMorselsTotal(size_t) {}
-  void AddMorselsDone(size_t) {}
-  size_t morsels_total() const { return 0; }
-  size_t morsels_done() const { return 0; }
-  void set_current_op(const char*) {}
-  const char* current_op() const { return nullptr; }
-  void set_fingerprint(uint64_t) {}
-  uint64_t fingerprint() const { return 0; }
-  void set_plan_text(std::string) {}
-  const std::string& plan_text() const {
-    static const std::string kEmpty;
-    return kEmpty;
-  }
-  void set_threads(uint32_t) {}
-  uint32_t threads() const { return 1; }
-  void set_pinned_epoch(uint64_t) {}
-  uint64_t pinned_epoch() const { return 0; }
-  uint64_t started_ns() const { return 0; }
-  static uint64_t NowNs() { return 0; }
-  static uint64_t ThreadCpuNs() { return 0; }
-  static QueryContext* Current() { return nullptr; }
-
-  class Scope {
-   public:
-    explicit Scope(QueryContext*) {}
-  };
-};
-
-inline uint64_t DefaultQueryTimeoutNs() { return 0; }
-inline uint64_t DefaultQueryMemLimitBytes() { return 0; }
-
-#endif  // AQUA_OBS_DISABLED
 
 }  // namespace aqua::obs
 

@@ -97,7 +97,7 @@ class FlightRecorder {
   // --- slow-query log -----------------------------------------------------
   // When a threshold is set (> 0), the executor reports every Execute whose
   // wall time meets it; the recorder appends a structured block (plan text,
-  // span tree when tracing was on, counter delta) to the log file.
+  // span tree when tracing was on, the query's counters) to the log file.
 
   /// 0 disables. Also settable via AQUA_SLOW_QUERY_MS at process start.
   void set_slow_query_threshold_ns(uint64_t ns) {

@@ -1,7 +1,5 @@
 #include "obs/tasks.h"
 
-#ifndef AQUA_OBS_DISABLED
-
 #include <cstdio>
 
 #include "obs/json.h"
@@ -61,24 +59,16 @@ TaskRegistry& TaskRegistry::Global() {
 
 void TaskRegistry::Register(QueryContext* q) {
   if (q == nullptr) return;
-  size_t n;
-  {
-    MutexLock lock(mu_);
-    tasks_[q->id()] = q;
-    n = tasks_.size();
-  }
-  AQUA_OBS_GAUGE_SET("tasks.active", static_cast<int64_t>(n));
+  MutexLock lock(mu_);
+  tasks_[q->id()] = q;
+  AQUA_OBS_GAUGE_SET("tasks.active", static_cast<int64_t>(tasks_.size()));
 }
 
 void TaskRegistry::Unregister(QueryContext* q) {
   if (q == nullptr) return;
-  size_t n;
-  {
-    MutexLock lock(mu_);
-    tasks_.erase(q->id());
-    n = tasks_.size();
-  }
-  AQUA_OBS_GAUGE_SET("tasks.active", static_cast<int64_t>(n));
+  MutexLock lock(mu_);
+  tasks_.erase(q->id());
+  AQUA_OBS_GAUGE_SET("tasks.active", static_cast<int64_t>(tasks_.size()));
 }
 
 std::vector<TaskRow> TaskRegistry::Snapshot() const {
@@ -191,5 +181,3 @@ std::string TaskRegistry::ToJson() const {
 }
 
 }  // namespace aqua::obs
-
-#endif  // AQUA_OBS_DISABLED

@@ -35,8 +35,6 @@ struct TaskRow {
   uint64_t nodes = 0;
 };
 
-#ifndef AQUA_OBS_DISABLED
-
 /// Process-wide registry of in-flight `Executor::Execute` calls, keyed by
 /// query id. Registration brackets the execution (the executor holds a
 /// `Guard` on its stack), so every entry's `QueryContext` is alive for as
@@ -94,33 +92,6 @@ class TaskRegistry {
   std::map<uint64_t, QueryContext*> tasks_ AQUA_GUARDED_BY(mu_);
 };
 
-#else  // AQUA_OBS_DISABLED
-
-/// Compiled-out stub: nothing registers, kills report NotFound.
-class TaskRegistry {
- public:
-  static TaskRegistry& Global() {
-    static TaskRegistry instance;
-    return instance;
-  }
-  void Register(QueryContext*) {}
-  void Unregister(QueryContext*) {}
-  class Guard {
-   public:
-    explicit Guard(QueryContext*) {}
-  };
-  std::vector<TaskRow> Snapshot() const { return {}; }
-  Status Kill(uint64_t id, std::string_view = "was killed") {
-    return Status::NotFound("no in-flight query " + std::to_string(id) +
-                            " (observability compiled out)");
-  }
-  size_t EnforceLimits() { return 0; }
-  size_t active() const { return 0; }
-  std::string ToText() const { return "(no tasks: observability compiled out)\n"; }
-  std::string ToJson() const { return "{\"tasks\":[]}"; }
-};
-
-#endif  // AQUA_OBS_DISABLED
 
 }  // namespace aqua::obs
 

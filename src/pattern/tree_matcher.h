@@ -192,7 +192,7 @@ class TreeMatcher {
   size_t steps_ = 0;
   size_t memo_hits_ = 0;
   /// Captured from `obs::QueryContext::Current()` per entry point; null
-  /// outside a query (and always in AQUA_OBS_DISABLED builds).
+  /// outside a query.
   obs::QueryContext* query_ = nullptr;
   /// Scratch bytes already charged to `query_` (released on exit).
   size_t mem_charged_ = 0;

@@ -31,17 +31,23 @@ Status Executor::LintGate(const PlanRef& plan) {
 }
 
 Result<Datum> Executor::Execute(const PlanRef& plan) {
+  AQUA_RETURN_IF_ERROR(LintGate(plan));
+  // Compile fresh per call: the physical ops carry this call's per-op
+  // measurement atomics, so stats are per-Execute by construction.
+  return RunUnit(exec::Compile(plan), {&plan, 1});
+}
+
+Result<Datum> Executor::RunUnit(const exec::PhysicalOpRef& root,
+                                std::span<const PlanRef> plans) {
   stats_ = ExecStats{};
   op_stats_.clear();
   trace_.Clear();
-  obs::Snapshot before = obs::Registry::Global().Snap();
-  AQUA_OBS_COUNT("exec.executes", 1);
+  last_counters_.reset();
 
-  AQUA_RETURN_IF_ERROR(LintGate(plan));
-
-  // Lifecycle context for this call: limits armed from the executor
+  // Lifecycle context for this unit: limits armed from the executor
   // overrides or the env defaults, descriptor filled before registration
-  // so the task table shows what is running from the first snapshot.
+  // so the task table shows what is running from the first snapshot (a
+  // group under its first member's shape).
   obs::QueryContext qctx;
   qctx.set_threads(static_cast<uint32_t>(threads()));
   uint64_t timeout_ns = timeout_ms_ != 0 ? timeout_ms_ * 1000000ull
@@ -52,37 +58,40 @@ Result<Datum> Executor::Execute(const PlanRef& plan) {
                            : obs::DefaultQueryMemLimitBytes();
   if (mem_limit != 0) qctx.set_mem_limit_bytes(mem_limit);
 
-  // The plan catalogue key: the optimizer's learned statistics hang off
-  // it, so it is computed in every build.
-  std::string normalized = obs::NormalizePlan(plan);
-  uint64_t fingerprint = obs::Fnv1a(normalized);
-  qctx.set_fingerprint(fingerprint);
-  qctx.set_plan_text(normalized);
+  // The plan catalogue keys: the optimizer's learned statistics hang off
+  // them, so they are computed in every build.
+  std::vector<std::string> normalized(plans.size());
+  std::vector<uint64_t> fingerprints(plans.size());
+  for (size_t j = 0; j < plans.size(); ++j) {
+    normalized[j] = obs::NormalizePlan(plans[j]);
+    fingerprints[j] = obs::Fnv1a(normalized[j]);
+  }
+  qctx.set_fingerprint(fingerprints[0]);
+  qctx.set_plan_text(normalized[0]);
 
-  // Compile fresh per call: the physical ops carry this call's per-op
-  // measurement atomics, so stats are per-Execute by construction.
-  exec::PhysicalOpRef root = exec::Compile(plan);
   exec::ExecContext ctx;
   ctx.db = db_;
   ctx.pool = &exec::ThreadPool::Shared();
   ctx.threads = threads();
   ctx.trace = &trace_;
   ctx.query = &qctx;
-  // Pin the read snapshot for the whole Execute: every read path below
+  // Pin the read snapshot for the whole unit: every read path below
   // traverses this version lock-free; mutating operators re-snapshot as
   // they commit. The pinned epoch is part of the task descriptor.
   ctx.view = db_->store();
   uint64_t epoch_before = ctx.view.epoch();
   qctx.set_pinned_epoch(epoch_before);
 
-  obs::Span wall(nullptr, "");  // pure scoped timer for the whole Execute
+  // Installed thread-locally for the matcher checkpoints and this query's
+  // counters, and registered in the live task table, until the unit
+  // returns. The query thread's CPU (its morsel share included) is
+  // measured here once; helpers account for their own in the morsel
+  // scheduler.
+  obs::Span wall(nullptr, "");  // pure scoped timer for the whole unit
+  obs::QueryContext::Scope scope(&qctx);
+  obs::TaskRegistry::Guard task(&qctx);
+  AQUA_OBS_COUNT("exec.executes", plans.size());
   Result<Datum> result = [&]() -> Result<Datum> {
-    // Installed thread-locally for the matcher checkpoints and registered
-    // in the live task table for exactly the duration of the run; the
-    // query thread's CPU (its morsel share included) is measured here
-    // once, helpers account for their own in the morsel scheduler.
-    obs::QueryContext::Scope scope(&qctx);
-    obs::TaskRegistry::Guard task(&qctx);
     uint64_t cpu0 = obs::QueryContext::ThreadCpuNs();
     obs::Span root_span(&trace_, "Execute");
     Result<Datum> r = [&]() -> Result<Datum> {
@@ -109,13 +118,13 @@ Result<Datum> Executor::Execute(const PlanRef& plan) {
   stats_.mem_peak_bytes = qctx.mem_peak_bytes();
   CollectOpStats(root);
 
-  // Mirror this execution's ExecStats into the registry before the after
-  // snapshot so `last_counters_` carries them alongside the layer counters.
+  // Mirror this execution's ExecStats into the registry (and so into this
+  // query's counters) before those are copied out.
   AQUA_OBS_COUNT("exec.operators_evaluated", stats_.operators_evaluated);
   AQUA_OBS_COUNT("exec.trees_processed", stats_.trees_processed);
   AQUA_OBS_COUNT("exec.lists_processed", stats_.lists_processed);
   AQUA_OBS_RECORD("exec.execute_ns", wall_ns);
-  // Store-version levels after this Execute (OpenMetrics `\metrics`,
+  // Store-version levels after this unit (OpenMetrics `\metrics`,
   // `\snapshot`): the epoch, how many versions and pins are alive, and the
   // COW bytes kept only for snapshots.
   const ObjectStore& store = db_->store();
@@ -125,36 +134,55 @@ Result<Datum> Executor::Execute(const PlanRef& plan) {
   AQUA_OBS_GAUGE_SET("store.cow_copies", store.cow_copies());
   AQUA_OBS_GAUGE_SET("store.snapshot_pins", store.snapshot_pins());
   AQUA_OBS_GAUGE_SET("store.retained_bytes", store.retained_bytes());
-  last_counters_ = obs::Registry::Global().Snap().DeltaSince(before);
+  last_query_counters_ = qctx.counters();
 
-  // Plan catalogue: this run's latency and outcome, plus its per-op
-  // observations (cardinalities, candidates-per-probe, wall/CPU) folded
-  // into the learned records the cost model reads back.
+  // Plan catalogue, one row per member plan: this run's latency and
+  // outcome. A single plan also folds its per-op observations
+  // (cardinalities, candidates-per-probe, wall/CPU) into the learned
+  // records the cost model reads back. Group members split the wall time
+  // evenly and carry no op samples, so batching leaves the learned
+  // statistics and plan choice as they are. A batch-fatal outcome is every
+  // member's; otherwise each member's own result decides its row.
+  const exec::BatchedPatternOp* batch =
+      plans.size() > 1
+          ? dynamic_cast<const exec::BatchedPatternOp*>(root.get())
+          : nullptr;
   std::vector<obs::OpSample> samples;
-  exec::CollectOpSamples(root, &samples);
-  obs::StatsWarehouse::Global().Record(fingerprint, normalized, wall_ns,
-                                       qctx.mem_peak_bytes(),
-                                       result.status().code(), store_commit,
-                                       samples);
+  if (batch == nullptr) exec::CollectOpSamples(root, &samples);
+  for (size_t j = 0; j < plans.size(); ++j) {
+    StatusCode code = result.ok() && batch != nullptr
+                          ? batch->plan_results()[j].status().code()
+                          : result.status().code();
+    obs::StatsWarehouse::Global().Record(
+        fingerprints[j], normalized[j], wall_ns / plans.size(),
+        qctx.mem_peak_bytes(), code, store_commit, samples);
+  }
 
 #ifndef AQUA_OBS_DISABLED
   if (obs::Registry::enabled()) {
-    // Flight recorder: one structured event per Execute, with the
-    // counter-delta highlights and the parallel-path shape.
+    // Flight recorder: one structured event per unit, with this query's
+    // counter highlights and the parallel-path shape.
+    auto slot = [](const char* name) {
+      return obs::Registry::Global().GetCounter(name)->slot();
+    };
+    static const size_t kTreeSteps = slot("pattern.tree_steps");
+    static const size_t kListSteps = slot("pattern.list_steps");
+    static const size_t kIndexProbes = slot("index.probes");
+    static const size_t kNodesVisited =
+        slot("algebra.structural_nodes_visited");
     obs::FlightEvent ev;
     ev.kind = static_cast<uint32_t>(obs::FlightEventKind::kExecute);
     ev.ok = result.ok() ? 1 : 0;
-    ev.fingerprint = fingerprint;
+    ev.fingerprint = fingerprints[0];
     ev.wall_ns = wall_ns;
     ev.threads = static_cast<uint32_t>(ctx.threads);
     ev.morsels = static_cast<uint32_t>(
         ctx.morsels_run.load(std::memory_order_relaxed));
     ev.max_morsel_ns = ctx.morsel_max_ns.load(std::memory_order_relaxed);
-    ev.tree_steps = last_counters_.CounterValue("pattern.tree_steps");
-    ev.list_steps = last_counters_.CounterValue("pattern.list_steps");
-    ev.index_probes = last_counters_.CounterValue("index.probes");
-    ev.nodes_visited =
-        last_counters_.CounterValue("algebra.structural_nodes_visited");
+    ev.tree_steps = qctx.counter(kTreeSteps);
+    ev.list_steps = qctx.counter(kListSteps);
+    ev.index_probes = qctx.counter(kIndexProbes);
+    ev.nodes_visited = qctx.counter(kNodesVisited);
     ev.query_id = qctx.id();
     ev.cpu_ns = qctx.cpu_ns();
     ev.mem_peak = qctx.mem_peak_bytes();
@@ -163,12 +191,15 @@ Result<Datum> Executor::Execute(const PlanRef& plan) {
     obs::FlightRecorder& recorder = obs::FlightRecorder::Global();
     recorder.Record(ev);
 
-    // Slow-query log: full context (plan text, span tree when tracing was
-    // on, counter delta) for any Execute at or above the threshold.
+    // Slow-query log: full context (every member's plan, span tree when
+    // tracing was on, this query's counters) for any unit at or above the
+    // threshold.
     uint64_t threshold = recorder.slow_query_threshold_ns();
     if (threshold > 0 && wall_ns >= threshold) {
-      recorder.AppendSlowQuery(wall_ns, fingerprint, Explain(plan),
-                               trace_.ToTextReport(), last_counters_);
+      std::string text;
+      for (const PlanRef& p : plans) text += Explain(p);
+      recorder.AppendSlowQuery(wall_ns, fingerprints[0], text,
+                               trace_.ToTextReport(), last_counters());
     }
   }
 #endif
@@ -243,76 +274,23 @@ void Executor::ExecuteGroup(const std::vector<PlanRef>& plans,
     group.push_back(plans[i]);
     members.push_back(i);
   }
-  if (group.size() < 2) {
-    for (size_t i : members) (*out)[i] = Execute(plans[i]);
-    return;
-  }
-
-  std::shared_ptr<exec::BatchedPatternOp> root = exec::CompileBatch(group);
+  std::shared_ptr<exec::BatchedPatternOp> root =
+      group.size() >= 2 ? exec::CompileBatch(group) : nullptr;
   if (root == nullptr) {
-    for (size_t i : members) (*out)[i] = Execute(plans[i]);
+    for (size_t i : members) {
+      (*out)[i] = RunUnit(exec::Compile(plans[i]), {&plans[i], 1});
+    }
     return;
   }
-  // One execute per member plan, answered by one scan.
-  AQUA_OBS_COUNT("exec.executes", group.size());
 
-  obs::QueryContext qctx;
-  qctx.set_threads(static_cast<uint32_t>(threads()));
-  uint64_t timeout_ns = timeout_ms_ != 0 ? timeout_ms_ * 1000000ull
-                                         : obs::DefaultQueryTimeoutNs();
-  if (timeout_ns != 0) qctx.set_deadline_after_ns(timeout_ns);
-  uint64_t mem_limit = mem_limit_bytes_ != 0
-                           ? mem_limit_bytes_
-                           : obs::DefaultQueryMemLimitBytes();
-  if (mem_limit != 0) qctx.set_mem_limit_bytes(mem_limit);
-
-  std::vector<std::string> normalized(group.size());
-  std::vector<uint64_t> fingerprints(group.size(), 0);
-  for (size_t j = 0; j < group.size(); ++j) {
-    normalized[j] = obs::NormalizePlan(group[j]);
-    fingerprints[j] = obs::Fnv1a(normalized[j]);
-  }
-  // The task table shows the group under its first member's shape.
-  qctx.set_fingerprint(fingerprints[0]);
-  qctx.set_plan_text(normalized[0]);
-
-  exec::ExecContext ctx;
-  ctx.db = db_;
-  ctx.pool = &exec::ThreadPool::Shared();
-  ctx.threads = threads();
-  ctx.trace = nullptr;  // per-plan tracing is the Execute fallback's job
-  ctx.query = &qctx;
-  ctx.view = db_->store();
-  qctx.set_pinned_epoch(ctx.view.epoch());
-
-  obs::Span wall(nullptr, "");
-  Result<Datum> run = [&]() -> Result<Datum> {
-    obs::QueryContext::Scope scope(&qctx);
-    obs::TaskRegistry::Guard task(&qctx);
-    uint64_t cpu0 = obs::QueryContext::ThreadCpuNs();
-    Result<Datum> r = [&]() -> Result<Datum> {
-      AQUA_RETURN_IF_ERROR(root->Prepare(ctx));
-      return root->Run(ctx);
-    }();
-    qctx.AddCpuNs(obs::QueryContext::ThreadCpuNs() - cpu0);
-    if (!r.ok() && qctx.cancel_requested()) return qctx.CancelStatus();
-    return r;
-  }();
-  uint64_t wall_ns = wall.ElapsedNs();
-
-  // Batch-fatal outcomes (shared-input failure, item type error,
-  // cancellation, deadline) apply to every member — a standalone Execute
-  // of each would have failed the same way. Otherwise each member takes
-  // its own per-plan result.
-  // Each member also records its own catalogue row (which identifies
-  // co-compilable shapes), with the batch wall time attributed evenly
-  // across the group.
+  // One scan answers every member. Batch-fatal outcomes (shared-input
+  // failure, item type error, cancellation, deadline) apply to every
+  // member — a standalone Execute of each would have failed the same way.
+  // Otherwise each member takes its own per-plan result.
+  Result<Datum> run = RunUnit(root, group);
   for (size_t j = 0; j < group.size(); ++j) {
     (*out)[members[j]] =
         run.ok() ? root->plan_results()[j] : Result<Datum>(run.status());
-    obs::StatsWarehouse::Global().Record(
-        fingerprints[j], normalized[j], wall_ns / group.size(),
-        qctx.mem_peak_bytes(), (*out)[members[j]].status().code());
   }
 }
 
@@ -393,6 +371,13 @@ void RenderAnalyzed(const PlanRef& node,
 }
 
 }  // namespace
+
+const obs::Snapshot& Executor::last_counters() const {
+  if (!last_counters_) {
+    last_counters_ = obs::Registry::Global().ForQuery(last_query_counters_);
+  }
+  return *last_counters_;
+}
 
 std::string Executor::ExplainAnalyze(const PlanRef& plan) const {
   std::map<const PlanNode*, double> ests;

@@ -2,6 +2,8 @@
 #define AQUA_QUERY_EXECUTOR_H_
 
 #include <map>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -16,16 +18,17 @@
 
 namespace aqua {
 
-/// Execution statistics for one `Execute` call.
+/// Execution statistics of the last unit an executor ran (one `Execute`,
+/// or one batched group of `ExecuteBatch`). Filled in every build.
 struct ExecStats {
   size_t operators_evaluated = 0;
   size_t trees_processed = 0;
   size_t lists_processed = 0;
   size_t index_probes = 0;
   size_t index_candidates = 0;
-  /// Lifecycle accounting (0 when observability is compiled out): the
-  /// process-unique query id, total CPU across the query thread and every
-  /// fan-out helper, and the peak of the estimated live bytes.
+  /// Lifecycle accounting: the process-unique query id, total CPU across
+  /// the query thread and every fan-out helper, and the peak of the
+  /// estimated live bytes.
   uint64_t query_id = 0;
   uint64_t cpu_ns = 0;
   uint64_t mem_peak_bytes = 0;
@@ -79,12 +82,15 @@ class Executor {
   ///
   /// Query-group semantics: the batch is for *read-only* pattern queries —
   /// batched plans run against one pinned snapshot with no execution-order
-  /// guarantee between plans of a group. Per-batch lifecycle (one
-  /// `QueryContext`: deadline, memory budget, cancellation) covers the
-  /// whole group; the plan catalogue records each member plan individually
-  /// (wall time attributed evenly across the group). `stats()`, `trace()`
-  /// and `ExplainAnalyze` reflect only the plans that fell back to
-  /// `Execute`.
+  /// guarantee between plans of a group. A group runs the same lifecycle
+  /// as `Execute`, once for the whole group: one `QueryContext` (deadline,
+  /// memory budget, cancellation, query id, counters), one
+  /// `exec.execute_ns` sample, one span tree, one flight event and at most
+  /// one slow-log entry. The plan catalogue records each member plan
+  /// individually (wall time attributed evenly across the group, no op
+  /// samples). Groups run first, then the other plans one by one;
+  /// `stats()`, `trace()`, `last_counters()` and `ExplainAnalyze` describe
+  /// the last unit run, a group or a single plan.
   std::vector<Result<Datum>> ExecuteBatch(const std::vector<PlanRef>& plans);
 
   const ExecStats& stats() const { return stats_; }
@@ -110,30 +116,34 @@ class Executor {
   void set_mem_limit_bytes(uint64_t bytes) { mem_limit_bytes_ = bytes; }
   uint64_t mem_limit_bytes() const { return mem_limit_bytes_; }
 
-  /// Enables span collection: each `Execute` then records one span tree
-  /// (root span "Execute", one child span per operator evaluation, and —
-  /// at `threads() > 1` — per-morsel spans stitched under their fan-out
-  /// operator).
+  /// Enables span collection: each unit (an `Execute`, or a batched group)
+  /// then records one span tree (root span "Execute", one child span per
+  /// operator evaluation, and — at `threads() > 1` — per-morsel spans
+  /// stitched under their fan-out operator).
   void set_trace_enabled(bool on) { trace_.set_enabled(on); }
   bool trace_enabled() const { return trace_.enabled(); }
 
-  /// Span tree of the most recent `Execute` (empty when tracing is off).
+  /// Span tree of the last unit run (empty when tracing is off).
   const obs::Trace& trace() const { return trace_; }
 
-  /// Chrome trace-event JSON of the last `Execute`'s span tree, with the
-  /// registry counter deltas attributed to that execution embedded.
-  std::string TraceJson() const { return trace_.ToChromeJson(&last_counters_); }
+  /// Chrome trace-event JSON of the last unit's span tree, with that
+  /// unit's counters (`last_counters()`) embedded.
+  std::string TraceJson() const {
+    return trace_.ToChromeJson(&last_counters());
+  }
 
-  /// Indented text rendering of the last `Execute`'s span tree.
+  /// Indented text rendering of the last unit's span tree.
   std::string TraceReport() const { return trace_.ToTextReport(); }
 
-  /// Registry counter/histogram deltas attributed to the most recent
-  /// `Execute` (what the executor and the layers below it did).
-  const obs::Snapshot& last_counters() const { return last_counters_; }
+  /// The registry counters as counted by the most recent unit only (what
+  /// the executor and the layers below it did for that execution, not for
+  /// concurrent ones), beside the process-level gauges and histograms read
+  /// from the registry on the first call after the unit.
+  const obs::Snapshot& last_counters() const;
 
-  /// Renders the plan annotated with the measurements of the most recent
-  /// `Execute` (EXPLAIN ANALYZE) plus the cost model's estimated rows next
-  /// to the observed ones and the per-op Q-error
+  /// Renders the plan annotated with the measurements of the last unit
+  /// run (EXPLAIN ANALYZE) plus the cost model's estimated rows next to
+  /// the observed ones and the per-op Q-error
   /// (`max((est+1)/(act+1), (act+1)/(est+1))` — 1.00 is a perfect
   /// estimate), e.g.
   ///
@@ -149,14 +159,24 @@ class Executor {
   /// (keyed by logical node, for ExplainAnalyze).
   void CollectOpStats(const exec::PhysicalOpRef& op);
 
+  /// The one query lifecycle behind `Execute` and `ExecuteGroup`: arms the
+  /// limits, fingerprints `plans`, pins the view and registers the task;
+  /// runs `root` (a compiled plan, or the `BatchedPatternOp` answering a
+  /// group's `plans`), measures CPU and maps cancels; then fills the
+  /// stats and this unit's counters and writes `exec.execute_ns`, the
+  /// store gauges, one catalogue row per plan, the flight event and the
+  /// slow log.
+  Result<Datum> RunUnit(const exec::PhysicalOpRef& root,
+                        std::span<const PlanRef> plans);
+
   /// The AQUA_LINT=error refusal gate shared by `Execute` and the batch
   /// path: non-OK when the plan carries an error-severity finding.
   Status LintGate(const PlanRef& plan);
 
   /// Runs one verified batchable group (>= 2 plans) through
-  /// `exec::CompileBatch`, writing each member's result to
-  /// `out[indices[k]]`. Falls back to individual `Execute` calls when the
-  /// group fails to compile.
+  /// `exec::CompileBatch` and `RunUnit`, writing each member's result to
+  /// `out[indices[k]]`. Runs the members one by one when fewer than two
+  /// pass the lint gate or the group fails to compile.
   void ExecuteGroup(const std::vector<PlanRef>& plans,
                     const std::vector<size_t>& indices,
                     std::vector<Result<Datum>>* out);
@@ -168,7 +188,8 @@ class Executor {
   ExecStats stats_;
   std::map<const PlanNode*, OperatorStats> op_stats_;
   obs::Trace trace_;
-  obs::Snapshot last_counters_;
+  obs::QueryContext::CounterValues last_query_counters_{};
+  mutable std::optional<obs::Snapshot> last_counters_;  // built on demand
 };
 
 }  // namespace aqua

@@ -19,8 +19,6 @@
 #include "query/builder.h"
 #include "test_util.h"
 
-#ifndef AQUA_OBS_DISABLED
-
 namespace aqua {
 namespace {
 
@@ -269,17 +267,3 @@ TEST_F(CancelTest, CancellationStorm) {
 
 }  // namespace
 }  // namespace aqua
-
-#else  // AQUA_OBS_DISABLED
-
-namespace aqua {
-namespace {
-
-// With observability compiled out there is no cancellation to test; the
-// suite still builds and runs so the no-obs CI job exercises this binary.
-TEST(CancelTest, ObservabilityCompiledOut) { SUCCEED(); }
-
-}  // namespace
-}  // namespace aqua
-
-#endif  // AQUA_OBS_DISABLED

@@ -12,8 +12,6 @@
 namespace aqua::obs {
 namespace {
 
-#ifndef AQUA_OBS_DISABLED
-
 TEST(QueryContextTest, IdsAreProcessUniqueAndMonotonic) {
   QueryContext a;
   QueryContext b;
@@ -155,25 +153,6 @@ TEST(QueryContextTest, ClocksAdvance) {
   for (int i = 0; i < 100000; ++i) sink += static_cast<uint64_t>(i);
   EXPECT_GE(QueryContext::ThreadCpuNs(), c0);
 }
-
-#else  // AQUA_OBS_DISABLED
-
-TEST(QueryContextStubTest, EverythingIsInert) {
-  QueryContext q;
-  EXPECT_EQ(q.id(), 0u);
-  q.Cancel(StatusCode::kCancelled, "ignored");
-  EXPECT_FALSE(q.cancel_requested());
-  EXPECT_TRUE(q.CheckPoint().ok());
-  q.AddMem(1000);
-  EXPECT_EQ(q.mem_bytes(), 0u);
-  EXPECT_EQ(QueryContext::Current(), nullptr);
-  QueryContext::Scope scope(&q);
-  EXPECT_EQ(QueryContext::Current(), nullptr);
-  EXPECT_EQ(DefaultQueryTimeoutNs(), 0u);
-  EXPECT_EQ(DefaultQueryMemLimitBytes(), 0u);
-}
-
-#endif  // AQUA_OBS_DISABLED
 
 }  // namespace
 }  // namespace aqua::obs

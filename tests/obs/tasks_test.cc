@@ -10,8 +10,6 @@
 namespace aqua::obs {
 namespace {
 
-#ifndef AQUA_OBS_DISABLED
-
 TEST(TaskRegistryTest, GuardRegistersAndUnregisters) {
   TaskRegistry& reg = TaskRegistry::Global();
   size_t before = reg.active();
@@ -100,21 +98,6 @@ TEST(TaskRegistryTest, TextAndJsonRenderings) {
       << json;
   EXPECT_NE(json.find("\"cancel_requested\":false"), std::string::npos);
 }
-
-#else  // AQUA_OBS_DISABLED
-
-TEST(TaskRegistryStubTest, NothingRegisters) {
-  TaskRegistry& reg = TaskRegistry::Global();
-  QueryContext q;
-  TaskRegistry::Guard guard(&q);
-  EXPECT_EQ(reg.active(), 0u);
-  EXPECT_TRUE(reg.Snapshot().empty());
-  EXPECT_EQ(reg.Kill(1).code(), StatusCode::kNotFound);
-  EXPECT_EQ(reg.EnforceLimits(), 0u);
-  EXPECT_EQ(reg.ToJson(), "{\"tasks\":[]}");
-}
-
-#endif  // AQUA_OBS_DISABLED
 
 }  // namespace
 }  // namespace aqua::obs

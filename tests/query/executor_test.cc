@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <thread>
+#include <vector>
 
 #include "obs/digest.h"
 #include "obs/recorder.h"
@@ -455,6 +458,100 @@ TEST_F(ExecutorTest, SlowQueryThresholdAppendsToLog) {
 
   rec.set_slow_query_log_path(saved_path);
   rec.set_slow_query_threshold_ns(saved_threshold);
+  std::remove(path.c_str());
+}
+
+TEST_F(ExecutorTest, ConcurrentExecutesReportOnlyTheirOwnCounters) {
+  // Two plans whose serial runs take different numbers of matcher steps.
+  const PlanRef plans[2] = {
+      Q::TreeSubSelect(Q::ScanTree("t"), TP("b(d ?)")),
+      Q::TreeSubSelect(Q::ScanTree("t"), TP("x(b(d f))")),
+  };
+  uint64_t expected[2];
+  for (int k = 0; k < 2; ++k) {
+    Executor exec(&db_);
+    exec.set_threads(1);
+    ASSERT_OK(exec.Execute(plans[k]).status());
+    expected[k] = exec.last_counters().CounterValue("pattern.tree_steps");
+    ASSERT_GT(expected[k], 0u);
+  }
+  ASSERT_NE(expected[0], expected[1]);
+
+  // Run both concurrently: each execution's counters must be its own,
+  // whatever the other thread does meanwhile.
+  constexpr int kRuns = 1000;
+  std::atomic<int> wrong[2] = {0, 0};
+  std::vector<std::thread> threads;
+  for (int k = 0; k < 2; ++k) {
+    threads.emplace_back([&, k] {
+      Executor exec(&db_);
+      exec.set_threads(1);
+      for (int i = 0; i < kRuns; ++i) {
+        if (!exec.Execute(plans[k]).ok() ||
+            exec.last_counters().CounterValue("pattern.tree_steps") !=
+                expected[k] ||
+            exec.last_counters().CounterValue("exec.executes") != 1) {
+          wrong[k].fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(wrong[0].load(), 0);
+  EXPECT_EQ(wrong[1].load(), 0);
+}
+
+TEST_F(ExecutorTest, BatchedGroupIsObservedLikeExecute) {
+  obs::FlightRecorder& rec = obs::FlightRecorder::Global();
+  std::string path = ::testing::TempDir() + "/aqua_executor_group_slow.log";
+  std::remove(path.c_str());
+  std::string saved_path = rec.slow_query_log_path();
+  uint64_t saved_threshold = rec.slow_query_threshold_ns();
+  rec.set_slow_query_log_path(path);
+  rec.set_slow_query_threshold_ns(1);  // every query is "slow"
+  rec.Clear();
+  obs::Histogram* execute_ns =
+      obs::Registry::Global().GetHistogram("exec.execute_ns");
+  uint64_t samples_before = execute_ns->count();
+  uint64_t slow_before = rec.slow_queries_logged();
+
+  PlanRef scan = Q::ScanTree("t");
+  std::vector<PlanRef> group = {Q::TreeSubSelect(scan, TP("b(d ?)")),
+                                Q::TreeSubSelect(scan, TP("x"))};
+  Executor exec(&db_);
+  exec.set_threads(1);
+  exec.set_trace_enabled(true);
+  for (const Result<Datum>& r : exec.ExecuteBatch(group)) ASSERT_OK(r);
+
+  // One unit: one latency sample, one execute event, one slow-log block.
+  EXPECT_EQ(execute_ns->count(), samples_before + 1);
+  size_t execute_events = 0;
+  for (const obs::FlightEvent& e : rec.Dump()) {
+    if (e.kind != static_cast<uint32_t>(obs::FlightEventKind::kExecute)) {
+      continue;
+    }
+    ++execute_events;
+    EXPECT_NE(e.query_id, 0u);
+    EXPECT_EQ(e.query_id, exec.stats().query_id);
+    EXPECT_GT(e.tree_steps, 0u);
+  }
+  EXPECT_EQ(execute_events, 1u);
+  EXPECT_EQ(rec.slow_queries_logged(), slow_before + 1);
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good());
+  std::stringstream buf;
+  buf << in.rdbuf();
+  EXPECT_NE(buf.str().find("slow query:"), std::string::npos) << buf.str();
+
+  // The executor's own view describes the group.
+  ASSERT_FALSE(exec.trace().empty());
+  EXPECT_EQ(exec.trace().spans()[0].name, "Execute");
+  EXPECT_NE(exec.stats().query_id, 0u);
+  EXPECT_EQ(exec.last_counters().CounterValue("exec.executes"), 2u);
+
+  rec.set_slow_query_log_path(saved_path);
+  rec.set_slow_query_threshold_ns(saved_threshold);
+  rec.Clear();
   std::remove(path.c_str());
 }
 #endif  // AQUA_OBS_DISABLED

@@ -745,7 +745,7 @@ class Shell {
   }
 
   /// Executes `plan` through the pipeline and prints the result; with
-  /// `\trace on` the span-tree report and the counter deltas follow.
+  /// `\trace on` the span-tree report and the query's counters follow.
   Status RunPlan(const PlanRef& plan) {
     Executor exec(&db());
     exec.set_threads(threads_);
@@ -790,7 +790,6 @@ class Shell {
 
   void JoinBackground() {
     if (bg_threads_.empty()) return;
-#ifndef AQUA_OBS_DISABLED
     // A background query with no deadline would block exit forever; keep
     // killing whatever is in flight until the joins complete (a sweep can
     // race a just-launched query that has not registered yet).
@@ -805,15 +804,12 @@ class Shell {
         std::this_thread::sleep_for(std::chrono::milliseconds(10));
       }
     });
-#endif
     for (std::thread& t : bg_threads_) {
       if (t.joinable()) t.join();
     }
     bg_threads_.clear();
-#ifndef AQUA_OBS_DISABLED
     joined.store(true);
     reaper.join();
-#endif
   }
 
   Status CmdFlight(const std::string& arg) {
