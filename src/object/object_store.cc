@@ -1,5 +1,6 @@
 #include "object/object_store.h"
 
+#include <atomic>
 #include <unordered_set>
 
 namespace aqua {
@@ -25,15 +26,19 @@ namespace {
 
 /// True when `ref` holds the only reference to its pointee, which may then
 /// be written in place. References are only added under mu_, so a count of
-/// 1 stays 1. But `use_count()` is a relaxed load: reading 1 does not order
-/// a snapshot reader's last reads before our write. Copying the pointer
-/// increments the same count with an acq_rel read-modify-write, which reads
-/// the latest value and so synchronizes with every pin released before it.
-/// (A bare acquire fence would do the same, but thread sanitizers do not
-/// model fences.)
+/// 1 stays 1. But `use_count()` is a relaxed load: reading 1 does not by
+/// itself order a snapshot reader's last reads before our write. The
+/// acquire fence after it does, on any standard library: a pin's release
+/// decrements the count with release ordering, and a relaxed load that
+/// reads the result, followed by an acquire fence, synchronizes with it.
+/// ThreadSanitizer does not model fences, so the pointer is also copied:
+/// with libstdc++ the copy's increment is an acq_rel read-modify-write,
+/// which the sanitizer sees as that same synchronization (libc++
+/// increments relaxed, so there only the fence orders).
 template <typename T>
 bool SoleReference(const std::shared_ptr<T>& ref) {
   if (ref.use_count() > 1) return false;
+  std::atomic_thread_fence(std::memory_order_acquire);
   // NOLINTNEXTLINE(performance-unnecessary-copy-initialization)
   [[maybe_unused]] std::shared_ptr<T> acquire = ref;
   return true;

@@ -214,22 +214,12 @@ Histogram* Registry::GetHistogram(const std::string& name) {
   return it->second.get();
 }
 
-Snapshot Registry::Snap() const { return SnapWith(nullptr); }
-
-Snapshot Registry::ForQuery(const QueryContext::CounterValues& query) const {
-  return SnapWith(&query);
-}
-
-Snapshot Registry::SnapWith(const QueryContext::CounterValues* query) const {
+Snapshot Registry::Snap() const {
   std::lock_guard<std::mutex> lock(mu_);
   Snapshot snap;
   snap.counters.reserve(counters_.size());
   for (const auto& [name, counter] : counters_) {
-    uint64_t v = counter->value();
-    if (query != nullptr) {
-      v = counter->slot() < query->size() ? (*query)[counter->slot()] : 0;
-    }
-    snap.counters.emplace_back(name, v);
+    snap.counters.emplace_back(name, counter->value());
   }
   snap.gauges.reserve(gauges_.size());
   for (const auto& [name, gauge] : gauges_) {
@@ -246,6 +236,17 @@ Snapshot Registry::SnapWith(const QueryContext::CounterValues* query) const {
       if (c > 0) h.buckets.emplace_back(b, c);
     }
     snap.histograms.push_back(std::move(h));
+  }
+  return snap;
+}
+
+Snapshot Registry::ForQuery(const QueryContext::CounterValues& query) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  Snapshot snap;
+  snap.counters.reserve(counters_.size());
+  for (const auto& [name, counter] : counters_) {
+    size_t slot = counter->slot();
+    snap.counters.emplace_back(name, slot < query.size() ? query[slot] : 0);
   }
   return snap;
 }

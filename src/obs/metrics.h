@@ -164,10 +164,10 @@ class Registry {
   Histogram* GetHistogram(const std::string& name);
 
   Snapshot Snap() const;
-  /// `Snap()` with each counter's value taken from `query` (one
-  /// execution's counts, indexed by `Counter::slot()`; 0 past the slot
-  /// range) in place of its process total. Gauges and histograms stay
-  /// process-level.
+  /// One execution's counters: every registered counter with its value
+  /// taken from `query` (indexed by `Counter::slot()`; 0 past the slot
+  /// range). Holds no gauges or histograms: those are process-level and
+  /// read with `Snap()`.
   Snapshot ForQuery(const QueryContext::CounterValues& query) const;
   /// Zeroes every counter and histogram (benchmark/test hygiene); the
   /// registered names and cached pointers stay valid.
@@ -175,7 +175,6 @@ class Registry {
 
  private:
   Registry();
-  Snapshot SnapWith(const QueryContext::CounterValues* query) const;
   /// Creates the counter `name`; the caller holds `mu_`.
   Counter* AddCounterLocked(const std::string& name);
 

@@ -83,15 +83,16 @@ Result<Datum> Executor::RunUnit(const exec::PhysicalOpRef& root,
   qctx.set_pinned_epoch(epoch_before);
 
   // Installed thread-locally for the matcher checkpoints and this query's
-  // counters, and registered in the live task table, until the unit
-  // returns. The query thread's CPU (its morsel share included) is
-  // measured here once; helpers account for their own in the morsel
-  // scheduler.
+  // counters until the unit returns (the epilogue's counter adds are this
+  // query's too). Registered in the live task table only while the plan
+  // runs, so `\tasks`, `\kill` and the watchdog never see a finished
+  // query. The query thread's CPU (its morsel share included) is measured
+  // here once; helpers account for their own in the morsel scheduler.
   obs::Span wall(nullptr, "");  // pure scoped timer for the whole unit
   obs::QueryContext::Scope scope(&qctx);
-  obs::TaskRegistry::Guard task(&qctx);
   AQUA_OBS_COUNT("exec.executes", plans.size());
   Result<Datum> result = [&]() -> Result<Datum> {
+    obs::TaskRegistry::Guard task(&qctx);
     uint64_t cpu0 = obs::QueryContext::ThreadCpuNs();
     obs::Span root_span(&trace_, "Execute");
     Result<Datum> r = [&]() -> Result<Datum> {

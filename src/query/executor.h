@@ -137,8 +137,8 @@ class Executor {
 
   /// The registry counters as counted by the most recent unit only (what
   /// the executor and the layers below it did for that execution, not for
-  /// concurrent ones), beside the process-level gauges and histograms read
-  /// from the registry on the first call after the unit.
+  /// concurrent ones). It holds no gauges or histograms: those are
+  /// process-level and read from `obs::Registry`.
   const obs::Snapshot& last_counters() const;
 
   /// Renders the plan annotated with the measurements of the last unit
@@ -160,12 +160,12 @@ class Executor {
   void CollectOpStats(const exec::PhysicalOpRef& op);
 
   /// The one query lifecycle behind `Execute` and `ExecuteGroup`: arms the
-  /// limits, fingerprints `plans`, pins the view and registers the task;
-  /// runs `root` (a compiled plan, or the `BatchedPatternOp` answering a
-  /// group's `plans`), measures CPU and maps cancels; then fills the
-  /// stats and this unit's counters and writes `exec.execute_ns`, the
-  /// store gauges, one catalogue row per plan, the flight event and the
-  /// slow log.
+  /// limits, fingerprints `plans` and pins the view; runs `root` (a
+  /// compiled plan, or the `BatchedPatternOp` answering a group's
+  /// `plans`) with the task registered, measures CPU and maps cancels;
+  /// then, deregistered, fills the stats and this unit's counters and
+  /// writes `exec.execute_ns`, the store gauges, one catalogue row per
+  /// plan, the flight event and the slow log.
   Result<Datum> RunUnit(const exec::PhysicalOpRef& root,
                         std::span<const PlanRef> plans);
 
