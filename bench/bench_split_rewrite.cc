@@ -120,6 +120,81 @@ void BM_SubSelect_PlannerChoice(benchmark::State& state) {
 }
 BENCHMARK(BM_SubSelect_PlannerChoice)->Arg(1000)->Arg(8000);
 
+// --- Anchored Execute at a fixed candidate count --------------------------
+//
+// The measured form of the §4 claim: an index-anchored sub_select costs its
+// candidates, not the tree. The tree grows 10k -> 1M nodes while the anchor
+// label keeps about 25 candidates (the alphabet grows with the tree, and the
+// anchor is the label whose count is closest to 25), so a flat time means
+// no step of the anchored path is linear in the tree.
+
+struct AnchoredWorkload {
+  Database db;
+  PlanRef plan;
+  size_t candidates = 0;
+};
+
+std::unique_ptr<AnchoredWorkload> MakeAnchoredWorkload(size_t nodes) {
+  constexpr size_t kCandidates = 25;
+  auto w = std::make_unique<AnchoredWorkload>();
+  RandomTreeSpec spec;
+  spec.num_nodes = nodes;
+  spec.labels = Labels(std::max<size_t>(1, nodes / kCandidates));
+  spec.seed = 1234;
+  Check(w->db.RegisterTree("t", OrDie(MakeRandomTree(w->db.store(), spec))));
+  Check(w->db.CreateIndex("t", "name"));
+  const Tree& tree = *OrDie(w->db.GetTree("t"));
+  const AttributeIndex& names = *OrDie(w->db.indexes().Get("t", "name"));
+  // Anchor on the label with about kCandidates nodes; the pattern's child
+  // is a candidate's first child, so at least one match exists.
+  std::string anchor;
+  size_t best = nodes;
+  for (size_t i = 0; i < 100 && i < spec.labels.size(); ++i) {
+    size_t count = names.Lookup(Value::String(spec.labels[i])).size();
+    size_t gap = count > kCandidates ? count - kCandidates : kCandidates - count;
+    if (gap < best) {
+      best = gap;
+      anchor = spec.labels[i];
+    }
+  }
+  std::vector<NodeId> roots = names.Lookup(Value::String(anchor));
+  w->candidates = roots.size();
+  std::string child = anchor;
+  for (NodeId v : roots) {
+    if (tree.is_leaf(v)) continue;
+    Oid first = tree.payload(tree.children(v)[0]).oid();
+    child = OrDie(w->db.store().GetAttr(first, "name")).string_value();
+    break;
+  }
+  auto tp = OrDie(ParseTreePattern("{name == \"" + anchor +
+                                   "\"}(?* {name == \"" + child + "\"} ?*)"));
+  w->plan = Q::IndexedSubSelect(
+      "t", "name", Predicate::AttrEquals("name", Value::String(anchor)), tp);
+  return w;
+}
+
+/// Args: tree size, then 1 = metrics registry on (the default) or 0 = off
+/// at runtime. Off drops the executor epilogue's store gauges, whose
+/// `store.retained_bytes` walks every chunk of the store (ROADMAP,
+/// instrumentation budget), leaving the query path alone.
+void BM_AnchoredExecute_TreeSize(benchmark::State& state) {
+  auto w = MakeAnchoredWorkload(static_cast<size_t>(state.range(0)));
+  const bool obs_on = state.range(1) != 0;
+  obs::Registry::set_enabled(obs_on);
+  Executor exec(&w->db);
+  size_t results = 0;
+  for (auto _ : state) {
+    results = OrDie(exec.Execute(w->plan)).size();
+    benchmark::DoNotOptimize(results);
+  }
+  obs::Registry::set_enabled(true);
+  state.counters["results"] = static_cast<double>(results);
+  state.counters["candidates"] = static_cast<double>(w->candidates);
+}
+BENCHMARK(BM_AnchoredExecute_TreeSize)
+    ->ArgsProduct({{10000, 100000, 1000000}, {1, 0}})
+    ->Unit(benchmark::kMicrosecond);
+
 // --- Stats-warehouse A/B ---------------------------------------------------
 //
 // The same planner decision with a cold stats warehouse (static cost-model

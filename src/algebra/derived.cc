@@ -1,8 +1,6 @@
 #include "algebra/derived.h"
 
 #include "bulk/concat.h"
-#include "obs/metrics.h"
-#include "pattern/multi.h"
 
 namespace aqua {
 
@@ -154,38 +152,7 @@ Result<Datum> ListSubSelectIndexed(const StoreView& store, const List& list,
                                    const ListSplitOptions& opts) {
   AQUA_ASSIGN_OR_RETURN(PredicateRef head, ExtractHeadPredicate(pattern.body));
   AQUA_ASSIGN_OR_RETURN(std::vector<NodeId> candidates, index.Probe(*head));
-  // Dense candidate sets approach a full backtracking scan, so a one-pass
-  // automaton existence check (whose language over-approximates the
-  // matcher's) pays for itself by proving "no match" early. Sparse
-  // candidate sets skip it: probing a handful of begins is already cheaper
-  // than the scan.
-  if (candidates.size() * 16 >= list.size()) {
-    auto nfa = MultiNfa::CompileSearch({pattern.body});
-    if (nfa.ok() && nfa->MatchAll(store, list) == 0) {
-      AQUA_OBS_COUNT("pattern.nfa_prefilter_rejects", 1);
-      return Datum::Set({});
-    }
-  }
-  std::vector<size_t> begins(candidates.begin(), candidates.end());
-  ListMatcher matcher(store, list);
-  AQUA_ASSIGN_OR_RETURN(std::vector<ListMatch> matches,
-                        matcher.FindAllAtBegins(pattern, begins, opts.match));
-  Datum out = Datum::Set({});
-  for (const ListMatch& m : matches) {
-    List y;
-    auto ranges = m.PruneRanges();
-    size_t next_range = 0;
-    for (size_t i = m.begin; i < m.end; ++i) {
-      if (next_range < ranges.size() && i == ranges[next_range].first) {
-        i = ranges[next_range].second - 1;
-        ++next_range;
-        continue;
-      }
-      y.Append(list.at(i));
-    }
-    out.SetInsert(Datum::Of(std::move(y)));
-  }
-  return out;
+  return ListSubSelectAtBegins(store, list, pattern, candidates, opts);
 }
 
 Result<Datum> TreeSubSelectIndexed(const StoreView& store, const Tree& tree,
@@ -194,15 +161,7 @@ Result<Datum> TreeSubSelectIndexed(const StoreView& store, const Tree& tree,
                                    const SplitOptions& opts) {
   AQUA_ASSIGN_OR_RETURN(PredicateRef anchor, ExtractRootPredicate(tp));
   AQUA_ASSIGN_OR_RETURN(std::vector<NodeId> candidates, index.Probe(*anchor));
-  TreeMatcher matcher(store, tree, opts.match);
-  AQUA_ASSIGN_OR_RETURN(std::vector<TreeMatch> matches,
-                        matcher.FindAllAtRoots(tp, candidates));
-  Datum out = Datum::Set({});
-  for (const TreeMatch& m : matches) {
-    AQUA_ASSIGN_OR_RETURN(Tree y, MakeMatchPiece(tree, m, opts));
-    out.SetInsert(Datum::Of(CloseAllPoints(y)));
-  }
-  return out;
+  return TreeSubSelectAtRoots(store, tree, tp, candidates, opts);
 }
 
 }  // namespace aqua

@@ -51,7 +51,8 @@ Result<Datum> TreeSubSelectSplitRewrite(const StoreView& store,
                                         const SplitOptions& opts = {});
 
 /// The fused physical form of the same rewrite: probe the index for
-/// candidate roots and run the matcher only there, materializing nothing.
+/// candidate roots (in document order) and run the matcher only there,
+/// materializing nothing (`TreeSubSelectAtRoots`).
 Result<Datum> TreeSubSelectIndexed(const StoreView& store, const Tree& tree,
                                    const TreePatternRef& tp,
                                    const AttributeIndex& index,
@@ -68,8 +69,9 @@ Result<Datum> TreeSubSelectIndexed(const StoreView& store, const Tree& tree,
 Result<PredicateRef> ExtractHeadPredicate(const ListPatternRef& lp);
 
 /// Index-anchored list sub_select: probes `index` with the pattern's head
-/// predicate and attempts matches only at candidate positions. Agrees with
-/// `ListSubSelect` whenever the head predicate is extractable.
+/// predicate and attempts matches only at candidate positions
+/// (`ListSubSelectAtBegins`). Agrees with `ListSubSelect` whenever the head
+/// predicate is extractable.
 Result<Datum> ListSubSelectIndexed(const StoreView& store, const List& list,
                                    const AnchoredListPattern& pattern,
                                    const AttributeIndex& index,

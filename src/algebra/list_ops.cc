@@ -100,6 +100,31 @@ Result<Datum> ListSplit(const StoreView& store, const List& list,
   return out;
 }
 
+namespace {
+
+/// The sub_select result of `matches`: each matched sublist with its
+/// pruned runs removed, in match order.
+Datum MatchedSublists(const List& list, const std::vector<ListMatch>& matches) {
+  Datum out = Datum::Set({});
+  for (const ListMatch& m : matches) {
+    List y;
+    auto ranges = m.PruneRanges();
+    size_t next_range = 0;
+    for (size_t i = m.begin; i < m.end; ++i) {
+      if (next_range < ranges.size() && i == ranges[next_range].first) {
+        i = ranges[next_range].second - 1;
+        ++next_range;
+        continue;
+      }
+      y.Append(list.at(i));
+    }
+    out.SetInsert(Datum::Of(std::move(y)));
+  }
+  return out;
+}
+
+}  // namespace
+
 Result<Datum> ListSubSelect(const StoreView& store, const List& list,
                             const AnchoredListPattern& lp,
                             const ListSplitOptions& opts) {
@@ -129,22 +154,31 @@ Result<Datum> ListSubSelectPrefiltered(const StoreView& store,
   ListMatcher matcher(store, list);
   AQUA_ASSIGN_OR_RETURN(std::vector<ListMatch> matches,
                         matcher.FindAll(lp, opts.match));
-  Datum out = Datum::Set({});
-  for (const ListMatch& m : matches) {
-    List y;
-    auto ranges = m.PruneRanges();
-    size_t next_range = 0;
-    for (size_t i = m.begin; i < m.end; ++i) {
-      if (next_range < ranges.size() && i == ranges[next_range].first) {
-        i = ranges[next_range].second - 1;
-        ++next_range;
-        continue;
-      }
-      y.Append(list.at(i));
+  return MatchedSublists(list, matches);
+}
+
+Result<Datum> ListSubSelectAtBegins(const StoreView& store, const List& list,
+                                    const AnchoredListPattern& lp,
+                                    const std::vector<NodeId>& begins,
+                                    const ListSplitOptions& opts) {
+  // Dense begin sets approach a full backtracking scan, so a one-pass
+  // automaton existence check (whose language over-approximates the
+  // matcher's) pays for itself by proving "no match" early. Sparse begin
+  // sets skip it: probing a handful of begins is already cheaper than the
+  // scan.
+  if (begins.size() * 16 >= list.size()) {
+    auto nfa = MultiNfa::CompileSearch({lp.body});
+    if (nfa.ok() && nfa->MatchAll(store, list) == 0) {
+      AQUA_OBS_COUNT("pattern.nfa_prefilter_rejects", 1);
+      return Datum::Set({});
     }
-    out.SetInsert(Datum::Of(std::move(y)));
   }
-  return out;
+  ListMatcher matcher(store, list);
+  AQUA_ASSIGN_OR_RETURN(
+      std::vector<ListMatch> matches,
+      matcher.FindAllAtBegins(
+          lp, std::vector<size_t>(begins.begin(), begins.end()), opts.match));
+  return MatchedSublists(list, matches);
 }
 
 Result<Datum> ListAllAnc(const StoreView& store, const List& list,

@@ -77,6 +77,15 @@ Result<Datum> ListSubSelect(const StoreView& store, const List& list,
                             const AnchoredListPattern& lp,
                             const ListSplitOptions& opts = {});
 
+/// `sub_select(lp)(L)` with match starts restricted to the positions
+/// `begins` (an index probe's answer on the pattern's head predicate).
+/// Agrees with `ListSubSelect` whenever every match of `lp` starts at one
+/// of `begins`.
+Result<Datum> ListSubSelectAtBegins(const StoreView& store, const List& list,
+                                    const AnchoredListPattern& lp,
+                                    const std::vector<NodeId>& begins,
+                                    const ListSplitOptions& opts = {});
+
 class LazyMultiDfa;  // pattern/multi.h
 
 /// `ListSubSelect` with a caller-owned existence prefilter: a lazy DFA over

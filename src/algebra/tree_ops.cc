@@ -212,17 +212,39 @@ Result<Datum> TreeSplit(const StoreView& store, const Tree& tree,
   return out;
 }
 
-Result<Datum> TreeSubSelect(const StoreView& store, const Tree& tree,
-                            const TreePatternRef& tp,
-                            const SplitOptions& opts) {
-  TreeMatcher matcher(store, tree, opts.match);
-  AQUA_ASSIGN_OR_RETURN(std::vector<TreeMatch> matches, matcher.FindAll(tp));
+namespace {
+
+/// The sub_select result of `matches`: each match piece with its points
+/// closed, in match order.
+Result<Datum> ClosedMatchPieces(const Tree& tree,
+                                const std::vector<TreeMatch>& matches,
+                                const SplitOptions& opts) {
   Datum out = Datum::Set({});
   for (const TreeMatch& m : matches) {
     AQUA_ASSIGN_OR_RETURN(Tree y, MakeMatchPiece(tree, m, opts));
     out.SetInsert(Datum::Of(CloseAllPoints(y)));
   }
   return out;
+}
+
+}  // namespace
+
+Result<Datum> TreeSubSelect(const StoreView& store, const Tree& tree,
+                            const TreePatternRef& tp,
+                            const SplitOptions& opts) {
+  TreeMatcher matcher(store, tree, opts.match);
+  AQUA_ASSIGN_OR_RETURN(std::vector<TreeMatch> matches, matcher.FindAll(tp));
+  return ClosedMatchPieces(tree, matches, opts);
+}
+
+Result<Datum> TreeSubSelectAtRoots(const StoreView& store, const Tree& tree,
+                                   const TreePatternRef& tp,
+                                   const std::vector<NodeId>& roots,
+                                   const SplitOptions& opts) {
+  TreeMatcher matcher(store, tree, opts.match);
+  AQUA_ASSIGN_OR_RETURN(std::vector<TreeMatch> matches,
+                        matcher.FindAllAtRoots(tp, roots));
+  return ClosedMatchPieces(tree, matches, opts);
 }
 
 Result<Datum> TreeAllAnc(const StoreView& store, const Tree& tree,

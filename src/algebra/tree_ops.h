@@ -92,6 +92,15 @@ Result<Datum> TreeSubSelect(const StoreView& store, const Tree& tree,
                             const TreePatternRef& tp,
                             const SplitOptions& opts = {});
 
+/// `sub_select(tp)(T)` with match roots restricted to `roots`, which must be
+/// in document order without duplicates (an index probe's answer; see
+/// `TreeMatcher::FindAllAtRoots`). The fused §4 physical operator: it costs
+/// the candidates' matching, not the size of `T`.
+Result<Datum> TreeSubSelectAtRoots(const StoreView& store, const Tree& tree,
+                                   const TreePatternRef& tp,
+                                   const std::vector<NodeId>& roots,
+                                   const SplitOptions& opts = {});
+
 /// The function parameter of `all_anc` / `all_desc`.
 using AncFn =
     std::function<Result<Datum>(const Tree& ancestors, const Tree& match)>;

@@ -380,6 +380,19 @@ FanOutSpec OpaqueListSpec() {
   return spec;
 }
 
+/// The one index probe of an index-anchored operator: its anchor's
+/// candidates in document order, counted into the execution's stats.
+Result<std::vector<NodeId>> ProbeAnchor(ExecContext& ctx, const PlanNode& n) {
+  AQUA_ASSIGN_OR_RETURN(const AttributeIndex* index,
+                        ctx.db->indexes().Get(n.collection, n.attr));
+  ctx.index_probes.fetch_add(1, std::memory_order_relaxed);
+  AQUA_ASSIGN_OR_RETURN(std::vector<NodeId> candidates,
+                        index->Probe(*n.anchor));
+  ctx.index_candidates.fetch_add(candidates.size(),
+                                 std::memory_order_relaxed);
+  return candidates;
+}
+
 }  // namespace
 
 bool ApplyParallelCertified(const PlanRef& plan) {
@@ -502,27 +515,12 @@ PhysicalOpRef Compile(const PlanRef& plan) {
       return std::make_shared<SimpleOp>(
           plan, std::move(children),
           [](ExecContext& ctx, const PlanNode& n) -> Result<Datum> {
-            const StoreView& store = ctx.view;
             AQUA_ASSIGN_OR_RETURN(const Tree* tree,
                                   ctx.db->GetTree(n.collection));
-            AQUA_ASSIGN_OR_RETURN(const AttributeIndex* index,
-                                  ctx.db->indexes().Get(n.collection, n.attr));
-            ctx.index_probes.fetch_add(1, std::memory_order_relaxed);
             AQUA_ASSIGN_OR_RETURN(std::vector<NodeId> candidates,
-                                  index->Probe(*n.anchor));
-            ctx.index_candidates.fetch_add(candidates.size(),
-                                           std::memory_order_relaxed);
-            TreeMatcher matcher(store, *tree, n.split_opts.match);
-            AQUA_ASSIGN_OR_RETURN(
-                std::vector<TreeMatch> matches,
-                matcher.FindAllAtRoots(n.tpattern, candidates));
-            Datum out = Datum::Set({});
-            for (const TreeMatch& m : matches) {
-              AQUA_ASSIGN_OR_RETURN(Tree y,
-                                    MakeMatchPiece(*tree, m, n.split_opts));
-              out.SetInsert(Datum::Of(CloseAllPoints(y)));
-            }
-            return out;
+                                  ProbeAnchor(ctx, n));
+            return TreeSubSelectAtRoots(ctx.view, *tree, n.tpattern,
+                                        candidates, n.split_opts);
           });
     case PlanOp::kIndexedListSubSelect:
       return std::make_shared<SimpleOp>(
@@ -530,15 +528,10 @@ PhysicalOpRef Compile(const PlanRef& plan) {
           [](ExecContext& ctx, const PlanNode& n) -> Result<Datum> {
             AQUA_ASSIGN_OR_RETURN(const List* list,
                                   ctx.db->GetList(n.collection));
-            AQUA_ASSIGN_OR_RETURN(const AttributeIndex* index,
-                                  ctx.db->indexes().Get(n.collection, n.attr));
-            ctx.index_probes.fetch_add(1, std::memory_order_relaxed);
             AQUA_ASSIGN_OR_RETURN(std::vector<NodeId> candidates,
-                                  index->Probe(*n.anchor));
-            ctx.index_candidates.fetch_add(candidates.size(),
-                                           std::memory_order_relaxed);
-            return ListSubSelectIndexed(ctx.view, *list, n.lpattern, *index,
-                                        n.lsplit_opts);
+                                  ProbeAnchor(ctx, n));
+            return ListSubSelectAtBegins(ctx.view, *list, n.lpattern,
+                                         candidates, n.lsplit_opts);
           });
     case PlanOp::kListSelect: {
       FanOutSpec spec = ListSpec(/*parallel=*/true);

@@ -13,24 +13,25 @@ Result<AttributeIndex> AttributeIndex::Build(
   index.attr_ = attr;
   index.collection_size_ = total;
   index.entries_.reserve(cells.size());
-  for (const auto& [node, oid] : cells) {
-    auto value = store.GetAttr(oid, attr);
+  for (size_t i = 0; i < cells.size(); ++i) {
+    auto value = store.GetAttr(cells[i].second, attr);
     if (!value.ok()) {
       if (value.status().IsNotFound()) continue;  // heterogeneous collection
       return value.status();
     }
     if (value->is_null()) continue;
-    index.entries_.emplace_back(std::move(*value), node);
+    index.entries_.push_back(
+        Entry{std::move(*value), cells[i].first, static_cast<uint32_t>(i)});
   }
   std::sort(index.entries_.begin(), index.entries_.end(),
-            [](const auto& a, const auto& b) {
-              if (a.first.TotalLess(b.first)) return true;
-              if (b.first.TotalLess(a.first)) return false;
-              return a.second < b.second;
+            [](const Entry& a, const Entry& b) {
+              if (a.value.TotalLess(b.value)) return true;
+              if (b.value.TotalLess(a.value)) return false;
+              return a.rank < b.rank;
             });
   size_t distinct = 0;
   for (size_t i = 0; i < index.entries_.size(); ++i) {
-    if (i == 0 || !index.entries_[i].first.Equals(index.entries_[i - 1].first)) {
+    if (i == 0 || !index.entries_[i].value.Equals(index.entries_[i - 1].value)) {
       ++distinct;
     }
   }
@@ -60,52 +61,86 @@ Result<AttributeIndex> AttributeIndex::BuildForList(const StoreView& store,
   return Build(store, attr, cells, list.size());
 }
 
-namespace {
-/// Comparator matching the index sort order, comparing entry values only.
-bool EntryValueLess(const std::pair<Value, NodeId>& entry, const Value& v) {
-  return entry.first.TotalLess(v);
+AttributeIndex::EntryRange AttributeIndex::Bounds(const Value* lo,
+                                                  bool lo_inclusive,
+                                                  const Value* hi,
+                                                  bool hi_inclusive) const {
+  auto entry_less = [](const Entry& e, const Value& v) {
+    return e.value.TotalLess(v);
+  };
+  auto value_less = [](const Value& v, const Entry& e) {
+    return v.TotalLess(e.value);
+  };
+  auto begin = entries_.begin();
+  auto end = entries_.end();
+  if (lo != nullptr) {
+    begin = lo_inclusive
+                ? std::lower_bound(entries_.begin(), entries_.end(), *lo,
+                                   entry_less)
+                : std::upper_bound(entries_.begin(), entries_.end(), *lo,
+                                   value_less);
+  }
+  if (hi != nullptr) {
+    end = hi_inclusive
+              ? std::upper_bound(entries_.begin(), entries_.end(), *hi,
+                                 value_less)
+              : std::lower_bound(entries_.begin(), entries_.end(), *hi,
+                                 entry_less);
+  }
+  if (end < begin) end = begin;  // empty range, e.g. lo > hi
+  return {begin, end};
 }
-bool ValueEntryLess(const Value& v, const std::pair<Value, NodeId>& entry) {
-  return v.TotalLess(entry.first);
+
+std::vector<NodeId> AttributeIndex::Nodes(EntryRange range, bool one_run) {
+  std::vector<NodeId> out;
+  out.reserve(range.second - range.first);
+  if (one_run) {
+    // One value's entries are one run, already in document order.
+    for (auto it = range.first; it != range.second; ++it) {
+      out.push_back(it->node);
+    }
+    return out;
+  }
+  // Several runs: merge them into document order by rank.
+  std::vector<std::pair<uint32_t, NodeId>> ranked;
+  ranked.reserve(range.second - range.first);
+  for (auto it = range.first; it != range.second; ++it) {
+    ranked.emplace_back(it->rank, it->node);
+  }
+  std::sort(ranked.begin(), ranked.end());
+  for (const auto& [rank, node] : ranked) out.push_back(node);
+  return out;
 }
-}  // namespace
 
 std::vector<NodeId> AttributeIndex::Lookup(const Value& v) const {
-  auto lo = std::lower_bound(entries_.begin(), entries_.end(), v,
-                             EntryValueLess);
-  auto hi = std::upper_bound(entries_.begin(), entries_.end(), v,
-                             ValueEntryLess);
-  std::vector<NodeId> out;
-  out.reserve(hi - lo);
-  for (auto it = lo; it != hi; ++it) out.push_back(it->second);
-  std::sort(out.begin(), out.end());
-  return out;
+  return Nodes(Bounds(&v, true, &v, true), /*one_run=*/true);
 }
 
 std::vector<NodeId> AttributeIndex::LookupRange(const Value* lo,
                                                 bool lo_inclusive,
                                                 const Value* hi,
                                                 bool hi_inclusive) const {
-  auto begin = entries_.begin();
-  auto end = entries_.end();
-  if (lo != nullptr) {
-    begin = lo_inclusive
-                ? std::lower_bound(entries_.begin(), entries_.end(), *lo,
-                                   EntryValueLess)
-                : std::upper_bound(entries_.begin(), entries_.end(), *lo,
-                                   ValueEntryLess);
+  return Nodes(Bounds(lo, lo_inclusive, hi, hi_inclusive), /*one_run=*/false);
+}
+
+AttributeIndex::EntryRange AttributeIndex::ProbeBounds(
+    const Predicate& pred) const {
+  const Value& c = pred.constant();
+  switch (pred.op()) {
+    case CmpOp::kEq:
+      return Bounds(&c, true, &c, true);
+    case CmpOp::kLt:
+      return Bounds(nullptr, false, &c, false);
+    case CmpOp::kLe:
+      return Bounds(nullptr, false, &c, true);
+    case CmpOp::kGt:
+      return Bounds(&c, false, nullptr, false);
+    case CmpOp::kGe:
+      return Bounds(&c, true, nullptr, false);
+    case CmpOp::kNe:
+      break;
   }
-  if (hi != nullptr) {
-    end = hi_inclusive
-              ? std::upper_bound(entries_.begin(), entries_.end(), *hi,
-                                 ValueEntryLess)
-              : std::lower_bound(entries_.begin(), entries_.end(), *hi,
-                                 EntryValueLess);
-  }
-  std::vector<NodeId> out;
-  for (auto it = begin; it < end; ++it) out.push_back(it->second);
-  std::sort(out.begin(), out.end());
-  return out;
+  return {entries_.end(), entries_.end()};
 }
 
 bool AttributeIndex::CanProbe(const Predicate& pred) const {
@@ -130,27 +165,8 @@ Result<std::vector<NodeId>> AttributeIndex::Probe(
     return Status::InvalidArgument(
         "predicate is not answerable by this index: " + pred.ToString());
   }
-  const Value& c = pred.constant();
-  std::vector<NodeId> out;
-  switch (pred.op()) {
-    case CmpOp::kEq:
-      out = Lookup(c);
-      break;
-    case CmpOp::kLt:
-      out = LookupRange(nullptr, false, &c, false);
-      break;
-    case CmpOp::kLe:
-      out = LookupRange(nullptr, false, &c, true);
-      break;
-    case CmpOp::kGt:
-      out = LookupRange(&c, false, nullptr, false);
-      break;
-    case CmpOp::kGe:
-      out = LookupRange(&c, true, nullptr, false);
-      break;
-    default:
-      return Status::Internal("unreachable in AttributeIndex::Probe");
-  }
+  std::vector<NodeId> out =
+      Nodes(ProbeBounds(pred), /*one_run=*/pred.op() == CmpOp::kEq);
   AQUA_OBS_COUNT("index.probes", 1);
   AQUA_OBS_COUNT("index.candidates", out.size());
   AQUA_OBS_RECORD("index.candidates_per_probe", out.size());
@@ -160,9 +176,10 @@ Result<std::vector<NodeId>> AttributeIndex::Probe(
 double AttributeIndex::Selectivity(const Predicate& pred) const {
   if (collection_size_ == 0) return 0.0;
   if (!CanProbe(pred)) return 1.0;
-  auto nodes = Probe(pred);
-  if (!nodes.ok()) return 1.0;
-  return static_cast<double>(nodes->size()) /
+  // Counted from the probe's bounds: no node list is built and no probe
+  // is counted.
+  EntryRange range = ProbeBounds(pred);
+  return static_cast<double>(range.second - range.first) /
          static_cast<double>(collection_size_);
 }
 

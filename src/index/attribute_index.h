@@ -20,7 +20,11 @@ namespace aqua {
 /// This is the access method §4's "Why Split?" relies on: locating all
 /// nodes matching a cheap alphabet-predicate (the decomposition anchor)
 /// without walking the whole collection. Entries are kept sorted by value
-/// (total order), so both point and range probes are O(log n + answers).
+/// (total order), and within one value by document order: each entry
+/// carries its node's preorder rank (for a list, its position), recorded
+/// once at build time. Probes therefore answer in document order without
+/// touching the rest of the collection: a point probe is O(log n + answers),
+/// a range probe O(log n + answers · log answers).
 class AttributeIndex {
  public:
   /// Indexes every cell node of `tree` on `attr`. Cells whose object lacks
@@ -42,10 +46,12 @@ class AttributeIndex {
   /// Number of distinct values.
   size_t num_distinct() const { return num_distinct_; }
 
-  /// Nodes whose attribute equals `v`, in ascending NodeId order.
+  /// Nodes whose attribute equals `v`, in document order (tree preorder,
+  /// list position), without duplicates.
   std::vector<NodeId> Lookup(const Value& v) const;
 
-  /// Nodes whose attribute lies in the given range (null bounds = open).
+  /// Nodes whose attribute lies in the given range (null bounds = open), in
+  /// document order, without duplicates.
   std::vector<NodeId> LookupRange(const Value* lo, bool lo_inclusive,
                                   const Value* hi, bool hi_inclusive) const;
 
@@ -53,20 +59,46 @@ class AttributeIndex {
   /// index can answer (==, <, <=, >, >=).
   bool CanProbe(const Predicate& pred) const;
 
-  /// Answers an index-supported predicate; InvalidArgument otherwise.
+  /// Answers an index-supported predicate, in document order without
+  /// duplicates (what `TreeMatcher::FindAllAtRoots` requires of its roots);
+  /// InvalidArgument otherwise.
   Result<std::vector<NodeId>> Probe(const Predicate& pred) const;
 
   /// Estimated fraction of collection nodes satisfying `pred` (exact for
-  /// probe-able predicates; 1.0 otherwise).
+  /// probe-able predicates; 1.0 otherwise). O(log n); not counted as a
+  /// probe.
   double Selectivity(const Predicate& pred) const;
 
  private:
+  struct Entry {
+    Value value;
+    NodeId node;
+    /// Document-order rank of `node` among the collection's cells.
+    uint32_t rank;
+  };
+  // The rank sits in the padding after the node id, so document order
+  // costs the index no memory.
+  static_assert(sizeof(Entry) == sizeof(std::pair<Value, NodeId>));
+  using EntryRange = std::pair<std::vector<Entry>::const_iterator,
+                               std::vector<Entry>::const_iterator>;
+
+  /// Entries whose value lies in the given range (null bounds = open).
+  EntryRange Bounds(const Value* lo, bool lo_inclusive, const Value* hi,
+                    bool hi_inclusive) const;
+  /// The entries a probe-able predicate selects.
+  EntryRange ProbeBounds(const Predicate& pred) const;
+  /// The nodes of `range` in document order; `one_run` when the range
+  /// holds a single value (already in rank order).
+  static std::vector<NodeId> Nodes(EntryRange range, bool one_run);
+
+
+  /// `cells` lists the collection's cells in document order.
   static Result<AttributeIndex> Build(
       const StoreView& store, const std::string& attr,
       const std::vector<std::pair<NodeId, Oid>>& cells, size_t total);
 
   std::string attr_;
-  std::vector<std::pair<Value, NodeId>> entries_;  // sorted by (value, node)
+  std::vector<Entry> entries_;  // sorted by (value, rank)
   size_t collection_size_ = 0;
   size_t num_distinct_ = 0;
 };

@@ -226,18 +226,12 @@ class Registry {
     }                                                               \
   } while (0)
 #else
-#define AQUA_OBS_COUNT(name, n) \
-  do {                          \
-  } while (0)
-#define AQUA_OBS_RECORD(name, v) \
-  do {                           \
-  } while (0)
-#define AQUA_OBS_GAUGE_SET(name, v) \
-  do {                              \
-  } while (0)
-#define AQUA_OBS_GAUGE_ADD(name, n) \
-  do {                              \
-  } while (0)
+// The value stays an unevaluated operand, so a variable computed only to be
+// recorded still counts as used (no -Wunused-variable) and costs nothing.
+#define AQUA_OBS_COUNT(name, n) static_cast<void>(sizeof(n))
+#define AQUA_OBS_RECORD(name, v) static_cast<void>(sizeof(v))
+#define AQUA_OBS_GAUGE_SET(name, v) static_cast<void>(sizeof(v))
+#define AQUA_OBS_GAUGE_ADD(name, n) static_cast<void>(sizeof(n))
 #endif
 
 #endif  // AQUA_OBS_METRICS_H_

@@ -499,14 +499,26 @@ Result<std::vector<TreeMatch>> TreeMatcher::FindAllAtRoots(
   TreeMatchFlush flush(&steps_, &memo_hits_);
   ScratchRelease scratch{&query_, &mem_charged_};
 
+  // Roots come in document order, so ordering and deduplicating each
+  // root's own run of derivations orders the whole result.
+  auto less = [](const TreeMatch& a, const TreeMatch& b) {
+    if (a.matched != b.matched) return a.matched < b.matched;
+    return std::lexicographical_compare(
+        a.cuts.begin(), a.cuts.end(), b.cuts.begin(), b.cuts.end(),
+        [](const TreeCut& x, const TreeCut& y) {
+          return std::tie(x.node, x.from_prune) < std::tie(y.node, y.from_prune);
+        });
+  };
   std::vector<TreeMatch> out;
+  size_t derivations = 0;  // before deduplication; bounds the soft stop
   bool stop = false;
   for (NodeId v : roots) {
     if (v >= tree_.size()) return Status::OutOfRange("root node out of range");
     if (stop) break;
     bool found_here = false;
+    size_t run = out.size();
     MatchAt(tp.get(), nullptr, v, /*leaf_strict=*/false,
-            [this, v, &out, &stop, &found_here]() {
+            [this, v, &out, &derivations, &stop, &found_here]() {
               if (stop) return;
               if (opts_.first_derivation_per_root && found_here) return;
               found_here = true;
@@ -516,30 +528,14 @@ Result<std::vector<TreeMatch>> TreeMatcher::FindAllAtRoots(
               m.cuts = cut_stack_;
               out.push_back(std::move(m));
               if (opts_.max_matches > 0 &&
-                  out.size() >= 8 * opts_.max_matches + 64) {
+                  ++derivations >= 8 * opts_.max_matches + 64) {
                 stop = true;
               }
             });
     if (!error_.ok()) return error_;
+    std::sort(out.begin() + run, out.end(), less);
+    out.erase(std::unique(out.begin() + run, out.end()), out.end());
   }
-
-  // Deduplicate identical derivations, keeping document order by root.
-  std::vector<size_t> pos_of(tree_.size(), 0);
-  {
-    size_t i = 0;
-    for (NodeId v : tree_.Preorder()) pos_of[v] = i++;
-  }
-  auto less = [&pos_of](const TreeMatch& a, const TreeMatch& b) {
-    if (a.root != b.root) return pos_of[a.root] < pos_of[b.root];
-    if (a.matched != b.matched) return a.matched < b.matched;
-    return std::lexicographical_compare(
-        a.cuts.begin(), a.cuts.end(), b.cuts.begin(), b.cuts.end(),
-        [](const TreeCut& x, const TreeCut& y) {
-          return std::tie(x.node, x.from_prune) < std::tie(y.node, y.from_prune);
-        });
-  };
-  std::sort(out.begin(), out.end(), less);
-  out.erase(std::unique(out.begin(), out.end()), out.end());
   if (opts_.max_matches > 0 && out.size() > opts_.max_matches) {
     out.resize(opts_.max_matches);
   }

@@ -88,7 +88,12 @@ class TreeMatcher {
 
   /// Enumerates matches rooted at the given candidate nodes only (the
   /// physical operator behind index-accelerated `split`/`sub_select`, §4
-  /// "Why Split?").
+  /// "Why Split?"), deduplicated, ordered by root as `roots` is.
+  ///
+  /// Precondition: `roots` is in document (preorder) order, without
+  /// duplicates, as `Tree::Preorder()` and `AttributeIndex::Probe` return
+  /// them. The matcher then sorts only each root's own derivations, so the
+  /// call costs the candidates' matching and never a pass over the tree.
   Result<std::vector<TreeMatch>> FindAllAtRoots(
       const TreePatternRef& tp, const std::vector<NodeId>& roots);
 

@@ -222,6 +222,49 @@ Result<Tree> MakeQueryParseTree(ObjectStore& store,
   return ParseTreeGen(store, spec).Generate();
 }
 
+namespace {
+
+/// The nodes of a growing random tree that may still take a child, in
+/// creation order (node ids are handed out in that order). A Fenwick tree
+/// over the ids answers "the k-th open node" and removal in O(log n), so
+/// generating a tree is O(n log n) rather than quadratic, and draws the same
+/// tree for a seed as an erase-in-place list would.
+class OpenParents {
+ public:
+  explicit OpenParents(size_t capacity) : sums_(capacity + 1, 0) {}
+
+  size_t size() const { return size_; }
+  void Add(NodeId v) { Update(v, 1); }
+  void Remove(NodeId v) { Update(v, -1); }
+
+  /// The `k`-th open node (0-based) in creation order.
+  NodeId At(size_t k) const {
+    size_t pos = 0;
+    size_t step = 1;
+    while (step * 2 < sums_.size()) step *= 2;
+    for (; step > 0; step /= 2) {
+      if (pos + step < sums_.size() && sums_[pos + step] <= k) {
+        pos += step;
+        k -= sums_[pos];
+      }
+    }
+    return static_cast<NodeId>(pos);  // Fenwick index pos + 1 holds node pos
+  }
+
+ private:
+  void Update(NodeId v, int delta) {
+    size_ += delta;
+    for (size_t i = v + 1; i < sums_.size(); i += i & (~i + 1)) {
+      sums_[i] += delta;
+    }
+  }
+
+  std::vector<size_t> sums_;
+  size_t size_ = 0;
+};
+
+}  // namespace
+
 Result<Tree> MakeRandomTree(ObjectStore& store, const RandomTreeSpec& spec) {
   AQUA_RETURN_IF_ERROR(RegisterItemType(store));
   if (spec.num_nodes == 0) return Tree();
@@ -237,21 +280,15 @@ Result<Tree> MakeRandomTree(ObjectStore& store, const RandomTreeSpec& spec) {
   AQUA_ASSIGN_OR_RETURN(Oid root_oid, make_item());
   NodeId root = t.AddNode(NodePayload::Cell(root_oid));
   AQUA_RETURN_IF_ERROR(t.SetRoot(root));
-  std::vector<NodeId> open = {root};
+  OpenParents open(spec.num_nodes);
+  open.Add(root);
   for (size_t i = 1; i < spec.num_nodes; ++i) {
     AQUA_ASSIGN_OR_RETURN(Oid oid, make_item());
     NodeId node = t.AddNode(NodePayload::Cell(oid));
-    NodeId parent = open[rng() % open.size()];
+    NodeId parent = open.At(rng() % open.size());
     AQUA_RETURN_IF_ERROR(t.AddChild(parent, node));
-    if (t.arity(parent) >= spec.max_children) {
-      for (size_t j = 0; j < open.size(); ++j) {
-        if (open[j] == parent) {
-          open.erase(open.begin() + j);
-          break;
-        }
-      }
-    }
-    open.push_back(node);
+    if (t.arity(parent) >= spec.max_children) open.Remove(parent);
+    open.Add(node);
   }
   return t;
 }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "test_util.h"
 
 namespace aqua {
@@ -45,7 +47,7 @@ TEST_F(AttributeIndexTest, BuildStats) {
 TEST_F(AttributeIndexTest, PointLookup) {
   auto as = index_.Lookup(Value::String("a"));
   EXPECT_EQ(as.size(), 3u);
-  // NodeIds ascend.
+  // Document order, which in a parsed literal is ascending NodeId order.
   for (size_t i = 1; i < as.size(); ++i) EXPECT_LT(as[i - 1], as[i]);
   EXPECT_EQ(index_.Lookup(Value::String("zzz")).size(), 0u);
 }
@@ -66,6 +68,47 @@ TEST_F(AttributeIndexTest, RangeLookup) {
   EXPECT_EQ(val_index_.LookupRange(nullptr, false, &hi, false).size(), 3u);
   EXPECT_EQ(val_index_.LookupRange(&lo, false, nullptr, false).size(), 3u);
   EXPECT_EQ(val_index_.LookupRange(nullptr, false, nullptr, false).size(), 5u);
+}
+
+TEST_F(AttributeIndexTest, TreeProbesAnswerInPreorder) {
+  // Random attachment to earlier parents hands out NodeIds out of preorder;
+  // every probe must still answer in preorder, the order the matcher's
+  // roots require.
+  RandomTreeSpec spec;
+  spec.num_nodes = 400;
+  spec.labels = {"a", "b", "c"};
+  spec.val_range = 50;
+  spec.seed = 7;
+  ASSERT_OK_AND_ASSIGN(Tree tree, MakeRandomTree(store_, spec));
+  const std::vector<NodeId> preorder = tree.Preorder();
+  ASSERT_FALSE(std::is_sorted(preorder.begin(), preorder.end()));
+  ASSERT_OK_AND_ASSIGN(AttributeIndex names,
+                       AttributeIndex::BuildForTree(store_, tree, "name"));
+  ASSERT_OK_AND_ASSIGN(AttributeIndex vals,
+                       AttributeIndex::BuildForTree(store_, tree, "val"));
+  auto in_preorder = [&](const Predicate& pred) {
+    std::vector<NodeId> out;
+    for (NodeId v : preorder) {
+      if (pred.Eval(store_, tree.payload(v).oid())) out.push_back(v);
+    }
+    return out;
+  };
+
+  for (const char* label : {"a", "b", "c"}) {
+    auto eq = Predicate::AttrEquals("name", Value::String(label));
+    ASSERT_OK_AND_ASSIGN(auto got, names.Probe(*eq));
+    EXPECT_EQ(got, in_preorder(*eq)) << "name == " << label;
+  }
+  for (CmpOp op : {CmpOp::kEq, CmpOp::kLt, CmpOp::kLe, CmpOp::kGt,
+                   CmpOp::kGe}) {
+    auto pred = Predicate::Compare("val", op, Value::Int(20));
+    ASSERT_OK_AND_ASSIGN(auto got, vals.Probe(*pred));
+    EXPECT_EQ(got, in_preorder(*pred)) << pred->ToString();
+  }
+  Value lo = Value::Int(10), hi = Value::Int(40);
+  auto between = Predicate::And(Predicate::Compare("val", CmpOp::kGe, lo),
+                                Predicate::Compare("val", CmpOp::kLt, hi));
+  EXPECT_EQ(vals.LookupRange(&lo, true, &hi, false), in_preorder(*between));
 }
 
 TEST_F(AttributeIndexTest, ProbeSupportedOps) {

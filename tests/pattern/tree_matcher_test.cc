@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "test_util.h"
 
 namespace aqua {
@@ -286,6 +288,39 @@ TEST_F(TreeMatcherTest, FindAllAtRootsRestricts) {
   EXPECT_EQ(matches[0].root, second_b);
   EXPECT_TRUE(
       matcher.FindAllAtRoots(TP("b"), {9999}).status().IsOutOfRange());
+}
+
+TEST_F(TreeMatcherTest, FindAllAtRootsMatchesFindAllOnThoseRoots) {
+  // NodeIds out of preorder (random attachment), roots in document order:
+  // the matches and their order are FindAll's, restricted to the roots.
+  RandomTreeSpec spec;
+  spec.num_nodes = 300;
+  spec.labels = {"a", "b", "c"};
+  spec.seed = 3;
+  ASSERT_OK_AND_ASSIGN(tree_, MakeRandomTree(store_, spec));
+  std::vector<NodeId> roots;
+  std::vector<bool> is_root(tree_.size(), false);
+  size_t i = 0;
+  for (NodeId v : tree_.Preorder()) {
+    if (i++ % 3 == 0) {
+      roots.push_back(v);
+      is_root[v] = true;
+    }
+  }
+  ASSERT_FALSE(std::is_sorted(roots.begin(), roots.end()));
+  for (const char* pattern :
+       {"a", "a(?* b ?*)", "a(!?* b ?*)", "?(?* a(?*) ?*)", "b(?* !? ?*)"}) {
+    TreeMatcher matcher(store_, tree_);
+    ASSERT_OK_AND_ASSIGN(auto all, matcher.FindAll(TP(pattern)));
+    std::vector<TreeMatch> want;
+    for (const TreeMatch& m : all) {
+      if (is_root[m.root]) want.push_back(m);
+    }
+    ASSERT_OK_AND_ASSIGN(auto got, matcher.FindAllAtRoots(TP(pattern), roots));
+    EXPECT_GT(want.size(), 1u) << pattern;
+    EXPECT_TRUE(got == want) << pattern << ": " << got.size() << " vs "
+                             << want.size() << " matches";
+  }
 }
 
 TEST_F(TreeMatcherTest, MemoizationPreservesResults) {
