@@ -6,7 +6,8 @@
 // two automata are the one-pattern search `MultiNfa` and `LazyMultiDfa`.
 // Sweeps song length and pattern complexity. Expected shape: backtracking
 // is fine for short patterns, NFA is robustly linear, DFA wins on corpus
-// scans once its transitions are hot.
+// scans once its transitions are hot. The automata also run one pattern over
+// a 70-predicate alphabet (two signature words per cell).
 #include <benchmark/benchmark.h>
 
 #include "bench_util.h"
@@ -45,6 +46,22 @@ AnchoredListPattern ComplexMelody() {
       "A [[{pitch != \"F\"}]]* F [[C | D]]", popts));
 }
 
+AnchoredListPattern WideMelody() {
+  // A, any one note, F, with the middle note spelled as a 68-way
+  // alternation over durations (only 1-8 occur): 70 alphabet predicates,
+  // so a cell's signature spans two words.
+  std::string alt = "A [[{duration == 1}";
+  for (int d = 2; d <= 68; ++d) {
+    alt += " | {duration == " + std::to_string(d) + "}";
+  }
+  PatternParserOptions popts;
+  PredicateEnv env;
+  env.Bind("A", Predicate::AttrEquals("pitch", Value::String("A")));
+  env.Bind("F", Predicate::AttrEquals("pitch", Value::String("F")));
+  popts.env = &env;
+  return OrDie(ParseListPattern(alt + "]] F", popts));
+}
+
 std::vector<List> MakeCorpus(ObjectStore& store, size_t songs,
                              size_t notes) {
   std::vector<List> corpus;
@@ -60,7 +77,8 @@ std::vector<List> MakeCorpus(ObjectStore& store, size_t songs,
 const AnchoredListPattern& PatternFor(int id) {
   static AnchoredListPattern simple = Melody();
   static AnchoredListPattern complex_pattern = ComplexMelody();
-  return id == 0 ? simple : complex_pattern;
+  static AnchoredListPattern wide = WideMelody();
+  return id == 0 ? simple : id == 1 ? complex_pattern : wide;
 }
 
 void BM_ListMatch_Backtracking(benchmark::State& state) {
@@ -116,14 +134,15 @@ void BM_ListMatch_LazyDfa(benchmark::State& state) {
   state.counters["dfa_states"] = static_cast<double>(dfa.num_states());
 }
 
-// {song length, pattern id (0 = A??F, 1 = closure/alt pattern)}
+// {song length, pattern id (0 = A??F, 1 = closure/alt pattern, 2 = A?F
+// over a 70-predicate alphabet)}
 #define LIST_MATCH_ARGS                                               \
   ->Args({64, 0})->Args({256, 0})->Args({1024, 0})->Args({4096, 0})  \
       ->Args({64, 1})->Args({256, 1})->Args({1024, 1})->Args({4096, 1})
 
 BENCHMARK(BM_ListMatch_Backtracking) LIST_MATCH_ARGS;
-BENCHMARK(BM_ListMatch_Nfa) LIST_MATCH_ARGS;
-BENCHMARK(BM_ListMatch_LazyDfa) LIST_MATCH_ARGS;
+BENCHMARK(BM_ListMatch_Nfa) LIST_MATCH_ARGS->Args({4096, 2});
+BENCHMARK(BM_ListMatch_LazyDfa) LIST_MATCH_ARGS->Args({4096, 2});
 
 void BM_ListMatch_EnumerateAll(benchmark::State& state) {
   // Full enumeration (the operator path): all matches with extents.

@@ -125,32 +125,42 @@ Datum MatchedSublists(const List& list, const std::vector<ListMatch>& matches) {
 
 }  // namespace
 
-Result<Datum> ListSubSelect(const StoreView& store, const List& list,
-                            const AnchoredListPattern& lp,
-                            const ListSplitOptions& opts) {
-  // Existence prefilter: the search automaton's language is a superset of
-  // the backtracking matcher's matches (pruning shapes results, not the
-  // language; anchors only narrow it), so a negative single-pass scan
-  // proves there is no match and skips backtracking entirely. Patterns the
-  // automaton cannot compile (tree atoms) fall through to the matcher's own
-  // validation.
-  auto nfa = MultiNfa::CompileSearch({lp.body});
-  if (nfa.ok() && nfa->MatchAll(store, list) == 0) {
-    AQUA_OBS_COUNT("pattern.nfa_prefilter_rejects", 1);
-    return Datum::Set({});
+namespace {
+
+/// The list existence prefilter. The search automaton's language is a
+/// superset of the backtracking matcher's matches (pruning shapes results,
+/// not the language; anchors only narrow it), so a negative single-pass
+/// scan proves there is no match and skips backtracking entirely. `dfa`
+/// runs over the one-pattern search automaton of `body`; null compiles one
+/// for this call. A pattern the automaton cannot compile (a tree atom)
+/// fails here with the error the matcher's own validation would give.
+Result<bool> PrefilterRejects(const StoreView& store, const List& list,
+                              const ListPatternRef& body, LazyMultiDfa* dfa) {
+  if (dfa == nullptr) {
+    AQUA_ASSIGN_OR_RETURN(MultiNfa nfa, MultiNfa::CompileSearch({body}));
+    AQUA_ASSIGN_OR_RETURN(LazyMultiDfa own, LazyMultiDfa::Make(&nfa));
+    return PrefilterRejects(store, list, body, &own);
   }
-  return ListSubSelectPrefiltered(store, list, lp, opts, nullptr);
+  if (dfa->MatchAll(store, list) != 0) return false;
+  AQUA_OBS_COUNT("pattern.nfa_prefilter_rejects", 1);
+  return true;
 }
 
-Result<Datum> ListSubSelectPrefiltered(const StoreView& store,
-                                       const List& list,
-                                       const AnchoredListPattern& lp,
-                                       const ListSplitOptions& opts,
-                                       LazyMultiDfa* prefilter) {
-  if (prefilter != nullptr && prefilter->MatchAll(store, list) == 0) {
-    AQUA_OBS_COUNT("pattern.nfa_prefilter_rejects", 1);
-    return Datum::Set({});
-  }
+}  // namespace
+
+Result<Datum> ListSubSelect(const StoreView& store, const List& list,
+                            const AnchoredListPattern& lp,
+                            const ListSplitOptions& opts,
+                            LazyMultiDfa* prefilter) {
+  AQUA_ASSIGN_OR_RETURN(bool rejected,
+                        PrefilterRejects(store, list, lp.body, prefilter));
+  if (rejected) return Datum::Set({});
+  return ListSubSelectMatches(store, list, lp, opts);
+}
+
+Result<Datum> ListSubSelectMatches(const StoreView& store, const List& list,
+                                   const AnchoredListPattern& lp,
+                                   const ListSplitOptions& opts) {
   ListMatcher matcher(store, list);
   AQUA_ASSIGN_OR_RETURN(std::vector<ListMatch> matches,
                         matcher.FindAll(lp, opts.match));
@@ -161,17 +171,14 @@ Result<Datum> ListSubSelectAtBegins(const StoreView& store, const List& list,
                                     const AnchoredListPattern& lp,
                                     const std::vector<NodeId>& begins,
                                     const ListSplitOptions& opts) {
-  // Dense begin sets approach a full backtracking scan, so a one-pass
-  // automaton existence check (whose language over-approximates the
-  // matcher's) pays for itself by proving "no match" early. Sparse begin
+  // Dense begin sets approach a full backtracking scan, so the existence
+  // prefilter pays for itself by proving "no match" early. Sparse begin
   // sets skip it: probing a handful of begins is already cheaper than the
   // scan.
   if (begins.size() * 16 >= list.size()) {
-    auto nfa = MultiNfa::CompileSearch({lp.body});
-    if (nfa.ok() && nfa->MatchAll(store, list) == 0) {
-      AQUA_OBS_COUNT("pattern.nfa_prefilter_rejects", 1);
-      return Datum::Set({});
-    }
+    AQUA_ASSIGN_OR_RETURN(bool rejected,
+                          PrefilterRejects(store, list, lp.body, nullptr));
+    if (rejected) return Datum::Set({});
   }
   ListMatcher matcher(store, list);
   AQUA_ASSIGN_OR_RETURN(

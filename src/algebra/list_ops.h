@@ -71,11 +71,20 @@ Result<Datum> ListSplit(const StoreView& store, const List& list,
                         const AnchoredListPattern& lp, const ListSplitFn& fn,
                         const ListSplitOptions& opts = {});
 
+class LazyMultiDfa;  // pattern/multi.h
+
 /// `sub_select(lp)(L)`: the set of sublists matching `lp` (pruned runs
 /// removed).
+///
+/// An existence prefilter runs first: one pass of a lazy DFA over the
+/// one-pattern search automaton of `lp.body` proves "no match" before any
+/// backtracking. `prefilter` is such a DFA owned by a caller that reuses it
+/// across a corpus (one warmed DFA per worker, as `ListSubSelectOp` keeps);
+/// null compiles one for this call.
 Result<Datum> ListSubSelect(const StoreView& store, const List& list,
                             const AnchoredListPattern& lp,
-                            const ListSplitOptions& opts = {});
+                            const ListSplitOptions& opts = {},
+                            LazyMultiDfa* prefilter = nullptr);
 
 /// `sub_select(lp)(L)` with match starts restricted to the positions
 /// `begins` (an index probe's answer on the pattern's head predicate).
@@ -86,20 +95,12 @@ Result<Datum> ListSubSelectAtBegins(const StoreView& store, const List& list,
                                     const std::vector<NodeId>& begins,
                                     const ListSplitOptions& opts = {});
 
-class LazyMultiDfa;  // pattern/multi.h
-
-/// `ListSubSelect` with a caller-owned existence prefilter: a lazy DFA over
-/// the one-pattern search automaton of `lp.body`. Compiling the automaton
-/// once and reusing it across every list of a corpus (one warmed DFA per
-/// worker) is what makes the prefilter pay off inside a fan-out; the plain
-/// `ListSubSelect` compiles it per call. A null `prefilter` (e.g. for
-/// patterns the automaton cannot compile) goes straight to the
-/// backtracking matcher, which validates the pattern.
-Result<Datum> ListSubSelectPrefiltered(const StoreView& store,
-                                       const List& list,
-                                       const AnchoredListPattern& lp,
-                                       const ListSplitOptions& opts,
-                                       LazyMultiDfa* prefilter);
+/// The backtracking half of `ListSubSelect`, for a caller whose own scan
+/// already answered the existence question (the batched list group, whose
+/// merged automaton is every member's prefilter at once).
+Result<Datum> ListSubSelectMatches(const StoreView& store, const List& list,
+                                   const AnchoredListPattern& lp,
+                                   const ListSplitOptions& opts);
 
 using ListAncFn =
     std::function<Result<Datum>(const List& prefix, const List& match)>;

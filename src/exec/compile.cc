@@ -16,6 +16,7 @@
 #include "lint/effects.h"
 #include "object/store_txn.h"
 #include "obs/metrics.h"
+#include "pattern/list_matcher.h"
 #include "pattern/multi.h"
 
 namespace aqua::exec {
@@ -298,45 +299,53 @@ class CertifiedApplyOp : public FanOutOp {
   std::vector<ItemDelta> deltas_;
 };
 
-/// List sub_select with the existence prefilter hoisted into `Prepare`: the
-/// one-pattern search automaton is compiled and sealed once per Execute
-/// (the interpreter recompiles it per list) and shared read-only across
-/// workers. Each worker slot warms its own `LazyMultiDfa` over it: the DFA
-/// mutates its transition cache and alphabet scratch while matching, so
-/// instances are per worker, and the cache amortizes across all the lists
-/// one worker scans.
+/// The existence automaton of a list operator: the merged search
+/// automaton of `bodies`, compiled and sealed once per Execute (the
+/// interpreter compiles it per list) and shared read-only across workers,
+/// plus one `LazyMultiDfa` per worker slot over it. A DFA mutates its
+/// transition cache and alphabet scratch while matching, so instances are
+/// per worker, and each cache amortizes across all the lists one worker
+/// scans.
+class ListSearchDfas {
+ public:
+  /// Fails, like the matcher's validation, on a body with a tree atom.
+  Status Prepare(const std::vector<ListPatternRef>& bodies, size_t threads) {
+    AQUA_ASSIGN_OR_RETURN(MultiNfa nfa, MultiNfa::CompileSearch(bodies));
+    nfa_.emplace(std::move(nfa));
+    dfas_.emplace(std::max<size_t>(threads, 1), [&] {
+      Result<LazyMultiDfa> dfa = LazyMultiDfa::Make(&*nfa_);  // sealed: ok
+      return std::move(*dfa);
+    });
+    return Status::OK();
+  }
+
+  LazyMultiDfa& at(size_t worker) { return dfas_->at(worker); }
+
+ private:
+  std::optional<MultiNfa> nfa_;
+  std::optional<WorkerLocal<LazyMultiDfa>> dfas_;
+};
+
+/// List sub_select with the existence prefilter's automaton hoisted into
+/// `Prepare`.
 class ListSubSelectOp : public FanOutOp {
  public:
   using FanOutOp::FanOutOp;
 
   Status Prepare(ExecContext& ctx) override {
     AQUA_RETURN_IF_ERROR(FanOutOp::Prepare(ctx));
-    auto nfa = MultiNfa::CompileSearch({plan_->lpattern.body});
-    if (!nfa.ok()) return Status::OK();  // matcher validates the pattern
-    nfa_.emplace(std::move(*nfa));
-    dfas_.emplace(std::max<size_t>(ctx.threads, 1));
-    for (size_t s = 0; s < dfas_->size(); ++s) {
-      auto dfa = LazyMultiDfa::Make(&*nfa_);
-      if (dfa.ok()) dfas_->at(s).emplace(std::move(*dfa));
-    }
-    return Status::OK();
+    return dfas_.Prepare({plan_->lpattern.body}, ctx.threads);
   }
 
  protected:
   Result<Datum> RunOnItem(ExecContext& ctx, const Datum& item, size_t,
                           size_t worker) override {
-    LazyMultiDfa* prefilter = nullptr;
-    if (dfas_.has_value() && worker < dfas_->size() &&
-        dfas_->at(worker).has_value()) {
-      prefilter = &*dfas_->at(worker);
-    }
-    return ListSubSelectPrefiltered(ctx.view, item.list(), plan_->lpattern,
-                                    plan_->lsplit_opts, prefilter);
+    return ListSubSelect(ctx.view, item.list(), plan_->lpattern,
+                         plan_->lsplit_opts, &dfas_.at(worker));
   }
 
  private:
-  std::optional<MultiNfa> nfa_;
-  std::optional<WorkerLocal<std::optional<LazyMultiDfa>>> dfas_;
+  ListSearchDfas dfas_;
 };
 
 constexpr char kTreeSetErr[] = "tree operator over a set containing a non-tree";
@@ -698,11 +707,12 @@ class BatchedMatchOpBase : public BatchedPatternOp {
 
 /// Batched list sub_select: the merged search automaton answers "does
 /// pattern j match somewhere in this list" for all patterns in one columnar
-/// scan. A hit runs the unchanged serial matcher (with the per-pattern
-/// prefilter disabled — the batch probe already was that filter); a miss
-/// produces the empty set, exactly what the serial prefilter-reject path
-/// returns (anchors only narrow the unanchored body's language, so a
-/// negative unanchored existence scan is sound — see `ListSubSelect`).
+/// scan, which is every member's existence prefilter at once. A hit runs
+/// the unchanged serial matcher; a miss produces the empty set, exactly
+/// what the serial prefilter-reject path returns (anchors only narrow the
+/// unanchored body's language, so a negative unanchored existence scan is
+/// sound — see `ListSubSelect`). `CompileBatch` admits only groups whose
+/// bodies all compile, so `Prepare` fails only as a lone member would.
 class BatchedListMatchOp : public BatchedMatchOpBase {
  public:
   using BatchedMatchOpBase::BatchedMatchOpBase;
@@ -710,20 +720,8 @@ class BatchedListMatchOp : public BatchedMatchOpBase {
   Status Prepare(ExecContext& ctx) override {
     AQUA_RETURN_IF_ERROR(BatchedPatternOp::Prepare(ctx));
     std::vector<ListPatternRef> bodies;
-    bodies.reserve(plans_.size());
     for (const PlanRef& p : plans_) bodies.push_back(p->lpattern.body);
-    auto multi = MultiNfa::CompileSearch(bodies);
-    // A pattern the automaton cannot compile (tree atoms) disables the
-    // probe for the whole group; every pattern then runs its matcher on
-    // every item, which is what the serial path does without a prefilter.
-    if (!multi.ok()) return Status::OK();
-    multi_.emplace(std::move(*multi));
-    dfas_.emplace(std::max<size_t>(ctx.threads, 1));
-    for (size_t s = 0; s < dfas_->size(); ++s) {
-      auto dfa = LazyMultiDfa::Make(&*multi_);
-      if (dfa.ok()) dfas_->at(s).emplace(std::move(*dfa));
-    }
-    return Status::OK();
+    return dfas_.Prepare(bodies, ctx.threads);
   }
 
  protected:
@@ -732,28 +730,20 @@ class BatchedListMatchOp : public BatchedMatchOpBase {
   void RunItem(ExecContext& ctx, const Datum& item, size_t worker,
                std::vector<Result<Datum>>* out) override {
     const List& list = item.list();
-    uint64_t matched = ~0ULL;
-    if (multi_.has_value()) {
-      std::optional<LazyMultiDfa>& dfa = dfas_->at(worker);
-      size_t rows = 0;
-      matched = dfa.has_value() ? dfa->MatchAll(ctx.view, list, &rows)
-                                : multi_->MatchAll(ctx.view, list, &rows);
-      if (rows > 0) AQUA_OBS_COUNT("exec.batch_scan_rows", rows);
-    }
+    size_t rows = 0;
+    const uint64_t matched = dfas_.at(worker).MatchAll(ctx.view, list, &rows);
+    if (rows > 0) AQUA_OBS_COUNT("exec.batch_scan_rows", rows);
     for (size_t j = 0; j < plans_.size(); ++j) {
-      if ((matched >> j) & 1) {
-        (*out)[j] = ListSubSelectPrefiltered(ctx.view, list,
+      (*out)[j] = (matched >> j) & 1
+                      ? ListSubSelectMatches(ctx.view, list,
                                              plans_[j]->lpattern,
-                                             plans_[j]->lsplit_opts, nullptr);
-      } else {
-        (*out)[j] = Datum::Set({});
-      }
+                                             plans_[j]->lsplit_opts)
+                      : Result<Datum>(Datum::Set({}));
     }
   }
 
  private:
-  std::optional<MultiNfa> multi_;
-  std::optional<WorkerLocal<std::optional<LazyMultiDfa>>> dfas_;
+  ListSearchDfas dfas_;
 };
 
 /// One necessary condition on any match of a tree pattern: some node of
@@ -907,6 +897,11 @@ std::shared_ptr<BatchedPatternOp> CompileBatch(
       return nullptr;
     }
     if (!PlanEquals(p->children[0], first->children[0])) return nullptr;
+    if (op == PlanOp::kListSubSelect &&
+        (p->lpattern.body == nullptr ||
+         !ListMatcher::ValidateListPattern(*p->lpattern.body).ok())) {
+      return nullptr;
+    }
   }
   AQUA_OBS_COUNT("exec.batched_patterns", plans.size());
   std::vector<PhysicalOpRef> children;

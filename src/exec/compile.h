@@ -97,7 +97,9 @@ class BatchedPatternOp : public PhysicalOp {
 /// co-compilable: 2..64 plans, all `kListSubSelect` or all
 /// `kTreeSubSelect`, each with one child, and every child `PlanEquals` the
 /// first (the executor pre-keys candidate groups by digest fingerprint;
-/// this is the structural verification, constants included). Returns null
+/// this is the structural verification, constants included), and no list
+/// body holding a tree atom, which the list automaton cannot compile, so
+/// that plan fails alone as its own `Execute` does. Returns null
 /// when the group is not batchable — callers then execute the plans
 /// individually. Counts the group size in `exec.batched_patterns`.
 std::shared_ptr<BatchedPatternOp> CompileBatch(

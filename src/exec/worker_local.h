@@ -19,6 +19,12 @@ class WorkerLocal {
  public:
   explicit WorkerLocal(size_t slots) : slots_(slots) {}
 
+  /// Fills every slot with `make()`, for a `T` built from shared state.
+  template <typename Make>
+  WorkerLocal(size_t slots, Make make) {
+    for (size_t i = 0; i < slots; ++i) slots_.push_back(Padded{make()});
+  }
+
   size_t size() const { return slots_.size(); }
 
   T& at(size_t slot) { return slots_[slot].value; }

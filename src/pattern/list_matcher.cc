@@ -8,20 +8,7 @@
 
 namespace aqua {
 
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__) || \
-    !defined(__OPTIMIZE__)
-#define AQUA_LIST_MATCH_LARGE_FRAMES 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-#define AQUA_LIST_MATCH_LARGE_FRAMES 1
-#endif
-#endif
-
-#ifdef AQUA_LIST_MATCH_LARGE_FRAMES
-const size_t ListMatcher::kMaxDepth = 4096;
-#else
-const size_t ListMatcher::kMaxDepth = 20000;
-#endif
+const size_t ListMatcher::kMaxDepth = kLargeStackFrames ? 4096 : 20000;
 
 namespace {
 
@@ -50,7 +37,7 @@ std::vector<std::pair<size_t, size_t>> ListMatch::PruneRanges() const {
   return out;
 }
 
-Status ListMatcher::ValidateListPattern(const ListPattern& p) const {
+Status ListMatcher::ValidateListPattern(const ListPattern& p) {
   if (p.kind() == ListPattern::Kind::kTreeAtom) {
     return Status::InvalidArgument(
         "tree-pattern atoms are not allowed in a list pattern");
@@ -136,7 +123,8 @@ Result<std::vector<ListMatch>> ListMatcher::FindAllAtBegins(
     }
   };
 
-  RegexEngine<decltype(atom)> engine(atom, kMaxDepth);
+  size_t depth = 0;
+  RegexEngine<decltype(atom)> engine(atom, kMaxDepth, depth);
 
   for (size_t begin : begins) {
     if (hit_limit || over_budget || engine.too_deep() || !cancel.ok()) break;

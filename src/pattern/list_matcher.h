@@ -62,7 +62,7 @@ struct ListMatchOptions {
 /// grouped body such as `[[!?]]*` two). A derivation that would nest deeper
 /// than `kMaxDepth` levels ends the call with InvalidArgument instead of
 /// overflowing the thread's stack; this is the list counterpart of
-/// `TreeMatchOptions::max_depth`.
+/// `TreeMatcher::kMaxDepth`.
 ///
 /// Thread model: a ListMatcher carries per-call mutable state (`steps_`)
 /// and must not be shared between threads; the algebra layer constructs
@@ -72,8 +72,8 @@ struct ListMatchOptions {
 class ListMatcher {
  public:
   /// Engine levels one derivation may nest, fixed per build. A level costs
-  /// at most 0.3 KB of stack in an optimized build, so the tree's 20000
-  /// (about 6 MB) fits an 8 MB stack. TSan, unoptimized and ASan builds
+  /// at most 0.3 KB of stack in an optimized build, so 20000 (about 6 MB)
+  /// fits an 8 MB stack. TSan, unoptimized and ASan builds
   /// spend up to 0.43, 0.79 and 1.22 KB a level, so they allow 4096
   /// (at most 5 MB).
   static const size_t kMaxDepth;
@@ -99,8 +99,10 @@ class ListMatcher {
   /// Atom probes executed by the last call (work measure for benchmarks).
   size_t steps() const { return steps_; }
 
+  /// Fails on a pattern no list engine runs (a tree-pattern atom).
+  static Status ValidateListPattern(const ListPattern& p);
+
  private:
-  Status ValidateListPattern(const ListPattern& p) const;
 
   StoreView store_;
   const List& list_;

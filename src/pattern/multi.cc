@@ -52,6 +52,13 @@ uint64_t Mix(uint64_t x) {
   return x ^ (x >> 31);
 }
 
+/// Hash of `n` packed words (a DFA state set or a cell letter).
+size_t HashWords(const uint64_t* words, size_t n) {
+  uint64_t h = n;
+  for (size_t i = 0; i < n; ++i) h = Mix(h ^ words[i]);
+  return static_cast<size_t>(h);
+}
+
 /// Feeds `list` to `step` one element at a time, evaluating the alphabet a
 /// chunk at a time. `step(e, sig)` advances the automaton over element `e`
 /// (`sig` is its alphabet signature when `e` is a cell) and returns the
@@ -109,9 +116,7 @@ void MultiNfa::AddEdge(uint32_t from, Transition t) {
 }
 
 uint32_t MultiNfa::InternLabel(const std::string& label) {
-  for (size_t i = 0; i < point_labels_.size(); ++i) {
-    if (point_labels_[i] == label) return static_cast<uint32_t>(i);
-  }
+  if (uint32_t i = LabelIndex(label); i != kNoLabel) return i;
   point_labels_.push_back(label);
   return static_cast<uint32_t>(point_labels_.size() - 1);
 }
@@ -186,14 +191,14 @@ Result<MultiNfa::Frag> MultiNfa::Build(const ListPattern& p) {
       return Build(*p.inner());
     case ListPattern::Kind::kTreeAtom:
       return Status::InvalidArgument(
-          "tree-pattern atoms cannot be compiled to a list NFA");
+          "tree-pattern atoms are not allowed in a list pattern");
   }
   return Status::Internal("unreachable in MultiNfa::Build");
 }
 
 Status MultiNfa::AddPattern(const ListPatternRef& pattern, uint32_t index,
                             uint32_t trie_root) {
-  if (pattern == nullptr) return Status::InvalidArgument("null pattern");
+  if (pattern == nullptr) return Status::InvalidArgument("null list pattern");
   std::vector<const ListPattern*> parts;
   FlattenConcat(pattern.get(), &parts);
 
@@ -379,18 +384,17 @@ uint64_t MultiNfa::MatchAll(const StoreView& store, const List& list,
 
 size_t LazyMultiDfa::WordsHash::operator()(
     const std::vector<uint64_t>& words) const {
-  uint64_t h = words.size();
-  for (uint64_t w : words) h = Mix(h ^ w);
-  return static_cast<size_t>(h);
-}
-
-size_t LazyMultiDfa::TransHash::operator()(
-    const std::pair<uint32_t, uint64_t>& key) const {
-  return static_cast<size_t>(Mix(key.second ^ Mix(key.first)));
+  return HashWords(words.data(), words.size());
 }
 
 LazyMultiDfa::LazyMultiDfa(const MultiNfa* nfa)
-    : nfa_(nfa), next_(nfa->set_words()) {
+    : nfa_(nfa),
+      stride_(nfa->alphabet().sig_stride()),
+      cell_base_(static_cast<uint32_t>(nfa->point_labels().size() + 1)),
+      num_symbols_(cell_base_),
+      cell_slots_(16, kNone),
+      width_(cell_base_ + 16),
+      next_(nfa->set_words()) {
   std::vector<uint64_t> start(nfa_->set_words());
   nfa_->StartSet(start.data());
   start_state_ = InternState(start);
@@ -401,10 +405,6 @@ Result<LazyMultiDfa> LazyMultiDfa::Make(const MultiNfa* nfa) {
   if (!nfa->alphabet().sealed()) {
     return Status::InvalidArgument("MultiNfa must be sealed before matching");
   }
-  if (nfa->alphabet().size() > 58) {
-    return Status::InvalidArgument(
-        "too many alphabet predicates for 64-bit signatures");
-  }
   return LazyMultiDfa(nfa);
 }
 
@@ -414,53 +414,84 @@ uint32_t LazyMultiDfa::InternState(const std::vector<uint64_t>& set) {
   if (inserted) {
     sets_.push_back(it->first.data());
     state_accept_masks_.push_back(nfa_->AcceptMask(it->first.data()));
+    table_.resize(table_.size() + width_, kNone);
   }
   return it->second;
 }
 
-uint32_t LazyMultiDfa::StepState(uint32_t state, uint64_t key,
-                                 const uint64_t* sig, uint32_t label_index) {
-  auto it = trans_.find({state, key});
-  if (it != trans_.end()) {
-    ++hits_;
-    return it->second;
+uint32_t& LazyMultiDfa::CellSlot(const uint64_t* letter) {
+  const size_t mask = cell_slots_.size() - 1;
+  for (size_t i = HashWords(letter, stride_);; ++i) {
+    uint32_t& slot = cell_slots_[i & mask];
+    if (slot == kNone ||
+        std::equal(letter, letter + stride_, CellLetter(slot))) {
+      return slot;
+    }
   }
+}
+
+uint32_t LazyMultiDfa::CellSymbol(const uint64_t* sig) {
+  uint32_t& slot = CellSlot(sig);
+  if (slot != kNone) return slot;
+  const uint32_t symbol = slot = num_symbols_++;
+  cell_letters_.insert(cell_letters_.end(), sig, sig + stride_);
+  if (2 * (num_symbols_ - cell_base_) > cell_slots_.size()) {
+    cell_slots_.assign(2 * cell_slots_.size(), kNone);
+    for (uint32_t s = cell_base_; s < num_symbols_; ++s) {
+      CellSlot(CellLetter(s)) = s;
+    }
+  }
+  if (num_symbols_ > width_) {
+    // Double the table's width, keeping every state's row.
+    std::vector<uint32_t> table(sets_.size() * 2 * width_, kNone);
+    for (size_t s = 0; s < sets_.size(); ++s) {
+      std::copy_n(&table_[s * width_], width_, &table[2 * s * width_]);
+    }
+    table_.swap(table);
+    width_ *= 2;
+  }
+  return symbol;
+}
+
+uint32_t LazyMultiDfa::Miss(uint32_t state, uint32_t symbol) {
   ++misses_;
-  if (sig != nullptr) {
-    nfa_->StepCell(sets_[state], sig, next_.data());
+  if (symbol >= cell_base_) {
+    nfa_->StepCell(sets_[state], CellLetter(symbol), next_.data());
   } else {
-    nfa_->StepPoint(sets_[state], label_index, next_.data());
+    const bool unnamed = symbol + 1 == cell_base_;
+    nfa_->StepPoint(sets_[state], unnamed ? MultiNfa::kNoLabel : symbol,
+                    next_.data());
   }
-  uint32_t id = InternState(next_);
-  trans_.emplace(std::make_pair(state, key), id);
-  return id;
+  const uint32_t next = InternState(next_);
+  table_[state * width_ + symbol] = next;
+  return next;
 }
 
 uint64_t LazyMultiDfa::MatchAll(const StoreView& store, const List& list,
                                 size_t* rows) {
   const uint64_t hits0 = hits_;
   const uint64_t misses0 = misses_;
-  const bool has_preds = nfa_->alphabet().size() > 0;
   uint32_t state = start_state_;
   const uint64_t matched = Scan(
       *nfa_, store, list, state_accept_masks_[start_state_], &scratch_, rows,
       [&](const NodePayload& e, const uint64_t* sig) {
-        // Cell keys set bit 63 over the (at most 58-bit) signature word;
-        // point keys are label + 1, so a label no pattern names is distinct
-        // from every cell and every known label.
-        if (e.is_cell()) {
-          const uint64_t word = has_preds ? sig[0] : 0;
-          state = StepState(state, (1ULL << 63) | word, &word, 0);
+        // `kNoLabel` (all ones) clamps to the last point symbol.
+        const uint32_t symbol =
+            e.is_cell() ? CellSymbol(sig)
+                        : std::min(nfa_->LabelIndex(e.label()), cell_base_ - 1);
+        const uint32_t cached = table_[state * width_ + symbol];
+        if (cached == kNone) {
+          state = Miss(state, symbol);
         } else {
-          const uint32_t label = nfa_->LabelIndex(e.label());
-          state = StepState(state, uint64_t{label} + 1, nullptr, label);
+          ++hits_;
+          state = cached;
         }
         return state_accept_masks_[state];
       });
   if (hits_ > hits0) AQUA_OBS_COUNT("pattern.dfa_hits", hits_ - hits0);
   if (misses_ > misses0) {
     AQUA_OBS_COUNT("pattern.dfa_misses", misses_ - misses0);
-    // Each miss fell back to one NFA simulation step.
+    // Each miss ran one NFA simulation step.
     AQUA_OBS_COUNT("pattern.nfa_steps", misses_ - misses0);
   }
   return matched;

@@ -38,12 +38,14 @@ namespace aqua {
 ///  * one pattern, whole-match mode — lint's start/accept reachability
 ///    analysis (structure only, never sealed) and cross-checks against the
 ///    backtracker's `MatchesWhole`.
+/// Every scan the engine runs goes through a `LazyMultiDfa` over the
+/// sealed automaton; the step functions below are its miss path.
 ///
 /// State sets are packed bitsets of `set_words()` words.
 ///
 /// Thread model: a sealed MultiNfa is immutable and freely shared; matching
-/// state lives in the caller (`MatchAll` allocates its own buffers, a
-/// `LazyMultiDfa` owns its caches).
+/// state lives in the caller (a `LazyMultiDfa` owns its caches, `MatchAll`
+/// allocates its own buffers).
 class MultiNfa {
  public:
   /// Compiles the whole-match automaton: bit j of `MatchAll` is set when
@@ -66,6 +68,9 @@ class MultiNfa {
   /// Returns the bitset of matching patterns (bit j = patterns[j]) by plain
   /// NFA simulation. Requires `Seal()`. `rows`, when not null, receives
   /// the number of elements whose alphabet signatures were evaluated.
+  /// The engine never calls this (it scans with `LazyMultiDfa`): it is the
+  /// reference the DFA is tested against, the NFA column of
+  /// `bench_list_match` and the comparison in the `music_db` example.
   uint64_t MatchAll(const StoreView& store, const List& list,
                     size_t* rows = nullptr) const;
 
@@ -148,11 +153,15 @@ class MultiNfa {
   bool search_mode_ = false;
 };
 
-/// Lazily determinized `MultiNfa`: each distinct element signature seen at
-/// a DFA state materializes one cached transition, and each DFA state
-/// caches the OR of its NFA states' accept masks, so a hot scan approaches
-/// one table lookup plus one mask OR per element. DFA states are packed NFA
-/// state sets interned in a hash map.
+/// Lazily determinized `MultiNfa`, the automaton every list scan runs.
+/// Each element is a *letter* — a cell's whole alphabet signature
+/// (`sig_stride()` words, so any alphabet width), a point's label — and
+/// each distinct letter is interned to a dense symbol. Each (DFA state,
+/// symbol) pair seen materializes one cached transition in a flat
+/// state-by-symbol table, and each DFA state caches the OR of its NFA
+/// states' accept masks, so a hot scan costs one letter probe, one table
+/// load and one mask OR per element, allocating nothing. DFA states are
+/// packed NFA state sets interned in a hash map.
 ///
 /// The input alphabet is symbolic (predicate outcomes), so ahead-of-time
 /// determinization would enumerate predicate minterms; determinizing on
@@ -163,8 +172,7 @@ class MultiNfa {
 /// the caches then amortize across every list that worker scans.
 class LazyMultiDfa {
  public:
-  /// `nfa` must be sealed and must outlive the DFA. At most 58 alphabet
-  /// predicates are supported (a cell's signature is one 64-bit word).
+  /// `nfa` must be sealed and must outlive the DFA.
   static Result<LazyMultiDfa> Make(const MultiNfa* nfa);
 
   LazyMultiDfa(LazyMultiDfa&&) = default;
@@ -178,37 +186,54 @@ class LazyMultiDfa {
 
   /// Number of materialized DFA states so far.
   size_t num_states() const { return sets_.size(); }
-  /// Number of cached transitions so far.
-  size_t num_transitions() const { return trans_.size(); }
-  /// Transition-cache hits/misses over this DFA's lifetime. A miss falls
-  /// back to one NFA simulation step (mirrored to the registry as
+  /// Number of cached transitions so far (one per miss).
+  size_t num_transitions() const { return misses_; }
+  /// Transition-cache hits/misses over this DFA's lifetime. A miss runs
+  /// one NFA simulation step (mirrored to the registry as
   /// `pattern.dfa_hits`, `pattern.dfa_misses` and `pattern.nfa_steps`).
   uint64_t cache_hits() const { return hits_; }
   uint64_t cache_misses() const { return misses_; }
 
  private:
+  static constexpr uint32_t kNone = static_cast<uint32_t>(-1);
+
   explicit LazyMultiDfa(const MultiNfa* nfa);
 
   struct WordsHash {
     size_t operator()(const std::vector<uint64_t>& words) const;
   };
-  struct TransHash {
-    size_t operator()(const std::pair<uint32_t, uint64_t>& key) const;
-  };
 
   uint32_t InternState(const std::vector<uint64_t>& set);
-  uint32_t StepState(uint32_t state, uint64_t key, const uint64_t* sig,
-                     uint32_t label_index);
+  /// The symbol of the cell signature `sig`, interned on first sight.
+  uint32_t CellSymbol(const uint64_t* sig);
+  /// `letter`'s slot in `cell_slots_`: its symbol, or the empty slot
+  /// where it belongs.
+  uint32_t& CellSlot(const uint64_t* letter);
+  const uint64_t* CellLetter(uint32_t symbol) const {
+    return cell_letters_.data() + (symbol - cell_base_) * stride_;
+  }
+  /// Builds the transition of `state` over `symbol` by one NFA step.
+  uint32_t Miss(uint32_t state, uint32_t symbol);
 
   const MultiNfa* nfa_;
+  size_t stride_;  // words per cell letter
   AlphabetScratch scratch_;
   /// Packed NFA state set -> DFA state id. `sets_[id]` points at the key's
   /// words, which the map's nodes keep in place.
   std::unordered_map<std::vector<uint64_t>, uint32_t, WordsHash> state_ids_;
   std::vector<const uint64_t*> sets_;
   std::vector<uint64_t> state_accept_masks_;
-  std::unordered_map<std::pair<uint32_t, uint64_t>, uint32_t, TransHash>
-      trans_;
+  /// Symbols below `cell_base_` are points: a label index, the last one
+  /// any label no pattern names. Cell symbols follow; their signatures sit
+  /// back to back in `cell_letters_`, indexed by the linear-probing table
+  /// `cell_slots_` (a power of two in size, at most half full).
+  uint32_t cell_base_;
+  uint32_t num_symbols_;
+  std::vector<uint64_t> cell_letters_;
+  std::vector<uint32_t> cell_slots_;
+  /// `table_[state * width_ + symbol]`: the cached successor, or `kNone`.
+  std::vector<uint32_t> table_;
+  size_t width_;
   std::vector<uint64_t> next_;  // miss-path step buffer
   uint32_t start_state_ = 0;
   uint64_t hits_ = 0;

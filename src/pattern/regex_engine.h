@@ -6,6 +6,22 @@
 
 namespace aqua {
 
+/// True in builds whose stack frames run large (sanitizers, no optimizer).
+/// The matchers' depth limits (`ListMatcher::kMaxDepth`,
+/// `TreeMatcher::kMaxDepth`) are fixed per build from it.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__) || \
+    !defined(__OPTIMIZE__)
+inline constexpr bool kLargeStackFrames = true;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+inline constexpr bool kLargeStackFrames = true;
+#else
+inline constexpr bool kLargeStackFrames = false;
+#endif
+#else
+inline constexpr bool kLargeStackFrames = false;
+#endif
+
 /// Continuation invoked with the position reached after a (partial) match.
 /// Non-owning: a continuation is only ever invoked during the call that
 /// receives it (each engine step passes a lambda down the stack), so nothing
@@ -35,14 +51,17 @@ using RegexCont = FunctionRef<void(size_t)>;
 ///
 /// Continuation passing makes a derivation as deep on the stack as it is
 /// long: every consumed element nests one more `Run` per level of pattern
-/// structure around its atom. `max_depth` bounds that nesting; a `Run` past
+/// structure around its atom. `max_depth` bounds that nesting, counted in
+/// `depth`, which the caller owns: the tree matcher runs one engine per
+/// children sequence inside its own node recursion (and inside other
+/// engines' atoms), so all of them spend one shared budget. A `Run` past
 /// it explores nothing, sets `too_deep()`, and every later `Run` returns at
 /// once so the whole search unwinds.
 template <typename AtomMatcher>
 class RegexEngine {
  public:
-  RegexEngine(const AtomMatcher& atom, size_t max_depth)
-      : atom_(atom), max_depth_(max_depth) {}
+  RegexEngine(const AtomMatcher& atom, size_t max_depth, size_t& depth)
+      : atom_(atom), max_depth_(max_depth), depth_(depth) {}
 
   bool too_deep() const { return too_deep_; }
 
@@ -113,7 +132,7 @@ class RegexEngine {
 
   const AtomMatcher& atom_;
   const size_t max_depth_;
-  size_t depth_ = 0;
+  size_t& depth_;
   bool too_deep_ = false;
 };
 

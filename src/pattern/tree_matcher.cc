@@ -7,6 +7,8 @@
 
 namespace aqua {
 
+const size_t TreeMatcher::kMaxDepth = kLargeStackFrames ? 2048 : 10000;
+
 namespace {
 
 /// Flushes one matcher call's work counters to the registry on every exit
@@ -96,7 +98,7 @@ const TreeMatcher::PointEnv* TreeMatcher::Lookup(const PointEnv* env,
 }
 
 bool TreeMatcher::CheckDepth() {
-  if (depth_ > opts_.max_depth) {
+  if (depth_ > kMaxDepth) {
     if (error_.ok()) {
       error_ = Status::InvalidArgument(
           "tree pattern match exceeded the backtracking depth limit "
@@ -417,8 +419,9 @@ void TreeMatcher::MatchChildren(const ListPattern* lp, const PointEnv* env,
     }
   };
   // A children sequence nests one engine level per child it consumes, so a
-  // wide node needs the depth guard as much as a deep tree does.
-  RegexEngine<decltype(atom)> engine(atom, opts_.max_depth);
+  // wide node needs the depth guard as much as a deep tree does; its levels
+  // count in `depth_`, on top of the nodes and sequences that enclose it.
+  RegexEngine<decltype(atom)> engine(atom, kMaxDepth, depth_);
   engine.Run(lp, pos, /*pruned=*/false, cont);
   if (engine.too_deep() && error_.ok()) {
     error_ = Status::InvalidArgument(

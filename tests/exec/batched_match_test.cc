@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <random>
 #include <string>
 #include <vector>
 
@@ -196,6 +197,83 @@ TEST_F(BatchedMatchTest, PerPlanErrorsMatchStandaloneExecution) {
       Q::TreeSubSelect(scan, TP("x")),
   };
   CheckBatchEqualsSequential(plans, 4);
+}
+
+TEST_F(BatchedMatchTest, ListTreeAtomFailsOnlyItsOwnPlan) {
+  // A tree atom has no list automaton: the group declines to batch, and
+  // that plan fails alone with the matcher's error, as standalone.
+  PlanRef scan = Q::ScanList("l");
+  AnchoredListPattern tree_atom{ListPattern::TreeAtom(TreePattern::AnyLeaf()),
+                                false, false};
+  std::vector<PlanRef> plans = {Q::ListSubSelect(scan, LP("a b")),
+                                Q::ListSubSelect(scan, tree_atom),
+                                Q::ListSubSelect(scan, LP("c a"))};
+  EXPECT_EQ(exec::CompileBatch(plans), nullptr);
+  CheckBatchEqualsSequential(plans, 4);
+}
+
+TEST_F(BatchedMatchTest, SeededListGroupsMatchSerialExecution) {
+  // Seeded random groups of 2-64 list sub_selects over the 8-element
+  // windows of one 300-element list. Names are skewed towards w0-w7 so
+  // most patterns match somewhere; the last group gives each plan two
+  // names of its own (never in the list), so its merged alphabet exceeds
+  // 64 predicates. Every batched result must print exactly as that plan's
+  // own Execute.
+  std::mt19937_64 rng(20261019);
+  auto name = [&] {
+    return "w" + std::to_string(rng() % 4 == 0 ? rng() % 180 : rng() % 8);
+  };
+  std::string lit = "[";
+  for (int i = 0; i < 300; ++i) lit += (i > 0 ? " " : "") + name();
+  ASSERT_OK_AND_ASSIGN(List words, ParseListLiteral(lit + "]", atom_));
+  ASSERT_OK(db_.RegisterList("words", std::move(words)));
+  PlanRef windows =
+      Q::ListSubSelect(Q::ScanList("words"), LP("? ? ? ? ? ? ? ?"));
+  const LabelFn label = AttrLabelFn(&db_.store(), "name");
+
+  size_t nonempty = 0;
+  for (int g = 0; g < 6; ++g) {
+    const bool wide = g == 5;
+    const size_t size = wide ? 40 : 2 + rng() % 63;
+    std::vector<PlanRef> plans;
+    for (size_t j = 0; j < size; ++j) {
+      std::string pattern;
+      if (wide) {
+        pattern = name() + " [[" + name() + " | w" +
+                  std::to_string(200 + 2 * j) + " | w" +
+                  std::to_string(201 + 2 * j) + "]]";
+      } else if (const int shape = rng() % 4; shape == 0) {
+        pattern = name() + " " + name();
+      } else if (shape == 1) {
+        pattern = name() + " ?* " + name();
+      } else if (shape == 2) {
+        pattern = "[[" + name() + " | " + name() + "]]+ " + name();
+      } else {
+        pattern = "^ " + name() + " ? " + name();
+      }
+      plans.push_back(Q::ListSubSelect(windows, LP(pattern)));
+    }
+    Executor serial(&db_);
+    serial.set_threads(1);
+    std::vector<std::string> expected;
+    for (const PlanRef& p : plans) {
+      ASSERT_OK_AND_ASSIGN(Datum d, serial.Execute(p));
+      nonempty += d.children().empty() ? 0 : 1;
+      expected.push_back(d.ToString(label));
+    }
+    for (size_t threads : {1u, 4u}) {
+      Executor exec(&db_);
+      exec.set_threads(threads);
+      std::vector<Result<Datum>> out = exec.ExecuteBatch(plans);
+      ASSERT_EQ(out.size(), plans.size());
+      for (size_t j = 0; j < plans.size(); ++j) {
+        ASSERT_OK(out[j]);
+        EXPECT_EQ(out[j]->ToString(label), expected[j])
+            << "group " << g << " plan " << j << " at threads=" << threads;
+      }
+    }
+  }
+  EXPECT_GT(nonempty, 20u);  // most groups must exercise the matcher
 }
 
 TEST_F(BatchedMatchTest, SharedInputErrorsAreBatchFatal) {

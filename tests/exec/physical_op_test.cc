@@ -201,6 +201,23 @@ TEST_F(PhysicalOpTest, ListSubSelectSharesNfaAcrossWorkers) {
   EXPECT_EQ(Str(got), Str(want));
 }
 
+#ifndef AQUA_OBS_DISABLED
+TEST_F(PhysicalOpTest, ListSubSelectPrefiltersWideAlphabets) {
+  // 61 alphabet predicates, past what a one-word signature key held: the
+  // operator still runs its per-worker DFA prefilter, which proves "no
+  // match" over [a x a y] before any backtracking.
+  std::string alt = "[[a";
+  for (int i = 0; i < 59; ++i) alt += " | p" + std::to_string(i);
+  auto plan = Q::ListSubSelect(Q::ScanList("l"), LP(alt + "]] zz"));
+  Executor exec(&db_);
+  ASSERT_OK_AND_ASSIGN(Datum got, exec.Execute(plan));
+  EXPECT_EQ(Str(got), Str(Datum::Set({})));
+  EXPECT_GT(
+      exec.last_counters().CounterValue("pattern.nfa_prefilter_rejects"), 0u);
+  EXPECT_EQ(exec.last_counters().CounterValue("pattern.list_steps"), 0u);
+}
+#endif
+
 TEST_F(PhysicalOpTest, ParallelErrorMatchesSerialError) {
   // Map a tree operator over a set that contains non-tree items: the error
   // text must be the serial one regardless of thread count.

@@ -293,24 +293,32 @@ TEST_P(PropertiesTest, MergedAutomataAgreeWithBacktrackerOnRandomBatches) {
   // over random lists with instance points. The independent oracle is the
   // backtracker's unanchored existence answer per pattern; the merged NFA
   // simulation, the merged lazy DFA (cold and warmed), and every pattern
-  // alone must all reproduce it bit for bit.
+  // alone must all reproduce it bit for bit. The last round gives each
+  // pattern two predicates of its own, so the merged alphabet exceeds 64
+  // predicates (two signature words).
   std::mt19937_64 rng(GetParam() * 6151);
   const char* kAtoms[] = {"a", "b", "a", "b", "@x", "@y"};
   ListMatchOptions budgeted;
   budgeted.max_matches = 1;
   budgeted.max_steps = 100000;  // skip patterns whose backtracking explodes
   size_t compared = 0;
-  for (int round = 0; round < 6; ++round) {
+  auto own = [](size_t k) {
+    return ListPattern::Pred(
+        Predicate::AttrEquals("name", Value::String("w" + std::to_string(k))));
+  };
+  for (int round = 0; round < 7; ++round) {
+    const bool wide = round == 6;
     std::string lit = "[";
     for (size_t i = 0, len = rng() % 24; i < len; ++i) {
       if (i > 0) lit += ' ';
-      lit += kAtoms[rng() % std::size(kAtoms)];
+      lit += wide && rng() % 2 == 0 ? "w" + std::to_string(rng() % 100)
+                                    : kAtoms[rng() % std::size(kAtoms)];
     }
     List l = L(lit + "]");
 
     std::vector<ListPatternRef> bodies;
     uint64_t expected = 0;
-    const size_t want = 1 + rng() % 64;
+    const size_t want = wide ? 48 : 1 + rng() % 64;
     for (size_t tries = 0; bodies.size() < want && tries < 4 * want;
          ++tries) {
       ListPatternRef body = RandomListPattern(rng, 3);
@@ -318,6 +326,10 @@ TEST_P(PropertiesTest, MergedAutomataAgreeWithBacktrackerOnRandomBatches) {
         body = ListPattern::Concat({body,
                                     ListPattern::Point(rng() % 2 ? "x" : "y"),
                                     RandomListPattern(rng, 1)});
+      }
+      if (wide) {
+        const size_t k = bodies.size();
+        body = ListPattern::Alt({body, own(2 * k), own(2 * k + 1)});
       }
       ListMatcher matcher(store_, l);
       auto matches =
@@ -337,6 +349,9 @@ TEST_P(PropertiesTest, MergedAutomataAgreeWithBacktrackerOnRandomBatches) {
     if (bodies.empty()) continue;
     compared += bodies.size();
     ASSERT_OK_AND_ASSIGN(MultiNfa merged, MultiNfa::CompileSearch(bodies));
+    if (wide) {
+      EXPECT_GT(merged.alphabet().size(), 64u);
+    }
     EXPECT_EQ(merged.MatchAll(store_, l), expected)
         << bodies.size() << " patterns over " << lit;
     ASSERT_OK_AND_ASSIGN(LazyMultiDfa dfa, LazyMultiDfa::Make(&merged));

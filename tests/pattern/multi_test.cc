@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
 #include <random>
 #include <string>
 #include <vector>
@@ -181,23 +182,63 @@ TEST_F(DfaTest, TransitionsAreCachedAcrossCalls) {
   EXPECT_EQ(dfa.num_transitions(), after_first);
 }
 
-TEST_F(DfaTest, RejectsNullAndTooManyPredicates) {
+/// `x{i}` for each index, space-separated: atoms over distinct predicates.
+std::string Names(const std::vector<int>& indices) {
+  std::string out;
+  for (int i : indices) out += (out.empty() ? "x" : " x") + std::to_string(i);
+  return out;
+}
+
+TEST_F(DfaTest, RejectsNullAndAgreesOnWideAlphabets) {
   EXPECT_TRUE(LazyMultiDfa::Make(nullptr).status().IsInvalidArgument());
 
-  // 59 distinct predicates exceed the 58-bit signature budget.
-  std::vector<ListPatternRef> parts;
-  for (int i = 0; i < 59; ++i) {
-    parts.push_back(ListPattern::Pred(
-        Predicate::AttrEquals("name", Value::String("x" + std::to_string(i)))));
+  // 59 predicates no longer fit one 58-bit key word; 70 take two signature
+  // words. At 70, `x64` and `x65` differ only in the second word, so
+  // swapping them must miss the cached transition for the unswapped list, and the
+  // DFA must answer like the NFA and the backtracker in both modes.
+  for (int n : {59, 70}) {
+    std::vector<int> seq(n);
+    std::iota(seq.begin(), seq.end(), 0);
+    std::vector<int> swapped = seq, no_first = seq, no_last = seq;
+    std::swap(swapped[n - 6], swapped[n - 5]);
+    no_first.erase(no_first.begin());
+    no_last.pop_back();
+    const std::vector<std::string> lists = {
+        "[" + Names(seq) + "]",      "[y " + Names(seq) + " y]",
+        "[" + Names(swapped) + "]",  "[" + Names(no_first) + "]",
+        "[" + Names(no_last) + "]",  "[" + Names(seq) + " x0]",
+        "[" + Names(seq) + "]"};
+    for (bool search : {false, true}) {
+      ListPatternRef body = LP(Names(seq)).body;
+      ASSERT_OK_AND_ASSIGN(MultiNfa nfa, search
+                                             ? MultiNfa::CompileSearch({body})
+                                             : CompileWhole(body));
+      ASSERT_EQ(nfa.alphabet().size(), static_cast<size_t>(n));
+      ASSERT_EQ(nfa.alphabet().sig_stride(), n > 64 ? 2u : 1u);
+      ASSERT_OK_AND_ASSIGN(LazyMultiDfa dfa, LazyMultiDfa::Make(&nfa));
+      for (const std::string& lit : lists) {
+        List l = L(lit);
+        ListMatcher matcher(store_, l);
+        uint64_t expected = 0;
+        if (search) {
+          ASSERT_OK_AND_ASSIGN(
+              auto matches,
+              matcher.FindAll(AnchoredListPattern{body, false, false}));
+          expected = matches.empty() ? 0 : 1;
+        } else {
+          ASSERT_OK_AND_ASSIGN(bool whole, matcher.MatchesWhole(body));
+          expected = whole ? 1 : 0;
+        }
+        EXPECT_EQ(nfa.MatchAll(store_, l), expected) << n << ": " << lit;
+        EXPECT_EQ(dfa.MatchAll(store_, l), expected) << n << ": " << lit;
+      }
+    }
   }
-  ASSERT_OK_AND_ASSIGN(MultiNfa nfa,
-                       CompileWhole(ListPattern::Concat(parts)));
-  EXPECT_TRUE(LazyMultiDfa::Make(&nfa).status().IsInvalidArgument());
 }
 
 TEST_F(DfaTest, PointLabelsNeverShareACellOrUnknownSignature) {
-  // 58 predicates and 31 point labels: the widest alphabet the DFA takes.
-  // `p1 [[@l0 | ... | @l30]] [[a | p1 | ... | p57]]` matches `[p1 @l30 a]`
+  // 70 predicates (two signature words) and 31 point labels.
+  // `p1 [[@l0 | ... | @l30]] [[a | p1 | ... | p69]]` matches `[p1 @l30 a]`
   // but not `[p1 @zz a]`: only a named label may sit between p1 and a.
   // A transition cached for one of the two points must never answer for
   // the other, whichever list warms the cache first.
@@ -207,7 +248,7 @@ TEST_F(DfaTest, PointLabelsNeverShareACellOrUnknownSignature) {
   }
   preds.push_back(
       ListPattern::Pred(Predicate::AttrEquals("name", Value::String("a"))));
-  for (int i = 1; i < 58; ++i) {
+  for (int i = 1; i < 70; ++i) {
     preds.push_back(ListPattern::Pred(
         Predicate::AttrEquals("name", Value::String("p" + std::to_string(i)))));
   }
@@ -215,7 +256,8 @@ TEST_F(DfaTest, PointLabelsNeverShareACellOrUnknownSignature) {
       {ListPattern::Pred(Predicate::AttrEquals("name", Value::String("p1"))),
        ListPattern::Alt(points), ListPattern::Alt(preds)});
   ASSERT_OK_AND_ASSIGN(MultiNfa nfa, MultiNfa::CompileSearch({body}));
-  ASSERT_EQ(nfa.alphabet().size(), 58u);
+  ASSERT_EQ(nfa.alphabet().size(), 70u);
+  ASSERT_EQ(nfa.alphabet().sig_stride(), 2u);
   ASSERT_EQ(nfa.point_labels().size(), 31u);
 
   auto backtracker = [&](const List& l) -> uint64_t {
@@ -429,21 +471,34 @@ TEST_F(MultiNfaTest, CompileRejectsBadGroups) {
       MultiNfa::CompileSearch(with_tree).status().IsInvalidArgument());
 }
 
-TEST_F(MultiNfaTest, LazyDfaRejectsWideAlphabets) {
-  // 59 distinct predicates exceed the 58-bit signature budget: the NFA
-  // still answers, the DFA refuses.
-  std::vector<ListPatternRef> bodies;
-  for (int k = 0; k < 59; ++k) {
-    bodies.push_back(
-        ListPattern::Pred(Predicate::Compare("val", CmpOp::kEq,
-                                             Value::Int(k))));
+TEST_F(MultiNfaTest, LazyDfaAgreesOnWideAlphabets) {
+  // 59 one-predicate patterns (one signature word, past the old 58-bit
+  // key) and 35 two-predicate patterns `x{2k} x{2k+1}` (70 predicates, two
+  // words): over seeded random lists, the merged DFA, cold and warmed,
+  // answers like the merged NFA and the backtracker, pattern by pattern.
+  std::mt19937_64 rng(59);
+  for (int wide : {0, 1}) {
+    std::vector<ListPatternRef> bodies;
+    for (int k = 0; k < (wide ? 35 : 59); ++k) {
+      bodies.push_back(
+          LP(wide ? Names({2 * k, 2 * k + 1}) : Names({k})).body);
+    }
+    ASSERT_OK_AND_ASSIGN(MultiNfa multi, MultiNfa::CompileSearch(bodies));
+    ASSERT_EQ(multi.alphabet().size(), wide ? 70u : 59u);
+    ASSERT_OK_AND_ASSIGN(LazyMultiDfa dfa, LazyMultiDfa::Make(&multi));
+    for (int round = 0; round < 20; ++round) {
+      std::string lit = "[";
+      for (size_t i = 0, len = rng() % 40; i < len; ++i) {
+        lit += (i > 0 ? " x" : "x") + std::to_string(rng() % 72);
+      }
+      List l = L(lit + "]");
+      const uint64_t expected = SequentialMatchAll(bodies, l);
+      EXPECT_EQ(multi.MatchAll(store_, l), expected) << lit;
+      EXPECT_EQ(dfa.MatchAll(store_, l), expected) << lit;
+      EXPECT_EQ(dfa.MatchAll(store_, l), expected) << "warmed, " << lit;
+    }
+    EXPECT_GT(dfa.cache_hits(), 0u);
   }
-  // 59 patterns of one predicate each (<= 64 patterns, > 58 predicates).
-  ASSERT_OK_AND_ASSIGN(MultiNfa multi, MultiNfa::CompileSearch(bodies));
-  EXPECT_EQ(multi.alphabet().size(), 59u);
-  EXPECT_TRUE(LazyMultiDfa::Make(&multi).status().IsInvalidArgument());
-  List l = L("[a]");  // Items carry val; `a` has val null -> no matches
-  EXPECT_EQ(multi.MatchAll(store_, l), 0u);
 }
 
 TEST_F(MultiNfaTest, SixtyFourPatternsFillTheMask) {

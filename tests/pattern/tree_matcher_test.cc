@@ -51,14 +51,50 @@ class TreeMatcherTest : public testing::AquaTestBase {
 
 TEST_F(TreeMatcherTest, DepthGuardBoundsChildrenSequences) {
   // A children sequence nests one engine level per child it consumes, so
-  // `max_depth` bounds a wide node as it bounds a deep tree: `r(?*)` over
-  // n children nests n + 2 levels.
-  TreeMatchOptions opts;
-  opts.max_depth = 8;
-  EXPECT_EQ(Find("r(a a a a a a)", "r(?*)", opts).size(), 1u);
-  tree_ = T("r(a a a a a a a)");
-  TreeMatcher matcher(store_, tree_, opts);
-  auto refused = matcher.FindAll(TP("r(?*)"));
+  // the depth guard bounds a wide node as it bounds a deep tree: `r(?*)`
+  // over n children nests n + 3 levels (the root's node level, the
+  // closure, one per child, the failed probe past the end). So the widest
+  // node it may cover has kMaxDepth - 3 children, and wider ones are
+  // refused, never a stack overflow.
+  ASSERT_OK_AND_ASSIGN(Oid a, atom_("a"));
+  ASSERT_OK_AND_ASSIGN(Oid r, atom_("r"));
+  auto node_of = [&](size_t n) {
+    std::vector<Tree> kids(n, Tree::Leaf(NodePayload::Cell(a)));
+    return Tree::Node(NodePayload::Cell(r), kids);
+  };
+  tree_ = node_of(TreeMatcher::kMaxDepth - 3);
+  TreeMatcher fits(store_, tree_);
+  auto whole = fits.FindAll(TP("r(?*)"));
+  ASSERT_OK(whole);
+  EXPECT_EQ(whole->size(), 1u);
+
+  for (size_t n : {TreeMatcher::kMaxDepth - 2, TreeMatcher::kMaxDepth + 1}) {
+    tree_ = node_of(n);
+    TreeMatcher too_wide(store_, tree_);
+    auto refused = too_wide.FindAll(TP("r(?*)"));
+    EXPECT_TRUE(refused.status().IsInvalidArgument())
+        << n << " children: " << refused.status().ToString();
+  }
+}
+
+TEST_F(TreeMatcherTest, DepthGuardCountsNestedChildrenSequences) {
+  // Five nested nodes of kMaxDepth / 4 children each, descending through
+  // the last child: each sequence alone is well inside the guard, but the
+  // sequences nest inside one another, so together they exceed it. The
+  // guard counts them as one derivation and refuses it instead of
+  // overflowing the stack.
+  ASSERT_OK_AND_ASSIGN(Oid a, atom_("a"));
+  ASSERT_OK_AND_ASSIGN(Oid b, atom_("b"));
+  const size_t width = TreeMatcher::kMaxDepth / 4;
+  Tree nested = Tree::Leaf(NodePayload::Cell(b));
+  for (int level = 0; level < 5; ++level) {
+    std::vector<Tree> kids(width - 1, Tree::Leaf(NodePayload::Cell(b)));
+    kids.push_back(nested);
+    nested = Tree::Node(NodePayload::Cell(a), kids);
+  }
+  tree_ = nested;
+  TreeMatcher matcher(store_, tree_);
+  auto refused = matcher.FindAll(TP("^[[a(?* @x)]]*@x"));
   EXPECT_TRUE(refused.status().IsInvalidArgument())
       << refused.status().ToString();
 }
@@ -239,7 +275,9 @@ TEST_F(TreeMatcherTest, ListLikeClosureChain) {
     TreeMatcher matcher(store_, tree_);
     ASSERT_OK_AND_ASSIGN(auto matches, matcher.FindAll(TP(pattern)));
     EXPECT_EQ(matches.size(), 1u) << lit;
-    if (!matches.empty()) EXPECT_EQ(matches[0].root, tree_.root());
+    if (!matches.empty()) {
+      EXPECT_EQ(matches[0].root, tree_.root());
+    }
   }
   for (const char* lit : {"d(a(b))", "d(a(c(a(b))))", "b"}) {
     tree_ = T(lit);
