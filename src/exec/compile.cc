@@ -11,7 +11,6 @@
 #include "algebra/list_ops.h"
 #include "algebra/tree_ops.h"
 #include "bulk/concat.h"
-#include "exec/morsel.h"
 #include "exec/worker_local.h"
 #include "lint/effects.h"
 #include "object/store_txn.h"
@@ -35,8 +34,8 @@ class NullOp : public PhysicalOp {
   }
 };
 
-/// Leaf and scalar operators (scans, constants, indexed probes): one
-/// evaluation on the query thread, no fan-out.
+/// Leaf and scalar operators (scans, constants): one evaluation on the
+/// query thread, no fan-out.
 class SimpleOp : public PhysicalOp {
  public:
   using Fn = std::function<Result<Datum>(ExecContext&, const PlanNode&)>;
@@ -55,20 +54,15 @@ class SimpleOp : public PhysicalOp {
 /// that replaced the interpreter's ForEachTree / ForEachList / per-op set
 /// loops).
 struct FanOutSpec {
-  /// Item type: lists when true, trees otherwise (drives the type check
-  /// and the trees_processed / lists_processed counter).
-  bool over_lists = false;
-  /// Exact interpreter TypeError messages (contract-tested).
-  const char* set_error = "";
-  const char* single_error = "";
+  /// Item type, type-error messages and whether set items may run on pool
+  /// workers. Not parallel for ops that mutate the head store (uncertified
+  /// `apply`) or invoke user callbacks with no thread-safety contract
+  /// (`split` / `all_anc` / `all_desc`).
+  ItemLoop items;
   /// When the input is a single collection (not a set), return the item
   /// result directly instead of wrapping it in a set — the `apply` and
   /// list-`select` quirk.
   bool single_passthrough = false;
-  /// Whether set items may run on pool workers. False for ops that mutate
-  /// the head store (uncertified `apply`) or invoke user callbacks with no
-  /// thread-safety contract (`split` / `all_anc` / `all_desc`).
-  bool parallel = false;
   /// Re-snapshot `ExecContext::view` after the batch (even on error): set
   /// for ops whose item evaluation may mutate the head store, so
   /// downstream operators observe the writes. Nearly free when nothing
@@ -84,16 +78,16 @@ struct FanOutSpec {
 
 /// Maps an operator over the tree/list items of its input.
 ///
-/// Items run as morsels (`RunMorsels`): contiguous item ranges claimed by
-/// up to `ExecContext::threads` participants, each holding a distinct
-/// worker slot for `WorkerLocal` state. Per-item results land in an
-/// index-addressed slot vector and are merged serially in item order after
-/// the join, so the output set (`SetInsert` dedups, keeping first
-/// occurrence) is byte-identical to the serial interpreter's. On failure
-/// the returned Status is the lowest-indexed failing item's — the same
-/// error the serial in-order loop would have returned. Execution counters
-/// may include items past the first failure (serial stops there; parallel
-/// morsels already running complete), which is the one documented
+/// Items run through `PhysicalOp::ForEachItem`: as morsels, contiguous
+/// item ranges claimed by up to `ExecContext::threads` participants, each
+/// holding a distinct worker slot for `WorkerLocal` state. Per-item results
+/// land in an index-addressed slot vector and are merged serially in item
+/// order after the join, so the output set (`SetInsert` dedups, keeping
+/// first occurrence) is byte-identical to the serial interpreter's. On
+/// failure the returned Status is the lowest-indexed failing item's — the
+/// same error the serial in-order loop would have returned. Execution
+/// counters may include items past the first failure (serial stops there;
+/// parallel morsels already running complete), which is the one documented
 /// divergence, on error paths only.
 class FanOutOp : public PhysicalOp {
  public:
@@ -129,64 +123,26 @@ class FanOutOp : public PhysicalOp {
  private:
   Result<Datum> RunBatch(ExecContext& ctx) {
     AQUA_ASSIGN_OR_RETURN(Datum input, RunChild(0, ctx));
-    if (!input.is_set()) {
-      if (ctx.query != nullptr) {
-        AQUA_RETURN_IF_ERROR(ctx.query->CheckPoint());
-        ctx.query->AddRows(1);
-      }
-      AQUA_RETURN_IF_ERROR(CheckItem(ctx, input, /*in_set=*/false));
-      OnBatchStart(ctx, 1);
-      Slots slots(1);
-      slots[0].emplace(RunOnItem(ctx, input, 0, 0));
-      AQUA_RETURN_IF_ERROR(slots[0]->status());
-      AQUA_RETURN_IF_ERROR(AfterItems(ctx, &slots));
-      Datum r = std::move(**slots[0]);
-      if (spec_.single_passthrough) return r;
-      Datum out = Datum::Set({});
-      MergeInto(&out, std::move(r));
-      return out;
-    }
-
-    const std::vector<Datum>& items = input.children();
-    OnBatchStart(ctx, items.size());
-    Slots slots(items.size());
-    FanOutOptions opts;
-    opts.threads = spec_.parallel ? ctx.threads : 1;
-    opts.trace = ctx.trace;
-    opts.morsels_run = &ctx.morsels_run;
-    opts.morsel_max_ns = &ctx.morsel_max_ns;
-    opts.query = ctx.query;
-    ThreadPool& pool =
-        ctx.pool != nullptr ? *ctx.pool : ThreadPool::Shared();
-    AQUA_RETURN_IF_ERROR(RunMorsels(
-        pool, items.size(), opts, [&](const Morsel& m) -> Status {
-          for (size_t i = m.begin; i < m.end; ++i) {
-            if (ctx.query != nullptr) {
-              AQUA_RETURN_IF_ERROR(ctx.query->CheckPoint());
-              ctx.query->AddRows(1);
-            }
-            AQUA_RETURN_IF_ERROR(CheckItem(ctx, items[i], /*in_set=*/true));
-            Result<Datum> r = RunOnItem(ctx, items[i], i, m.worker);
-            Status st = r.status();
-            slots[i].emplace(std::move(r));
-            AQUA_RETURN_IF_ERROR(st);
-          }
-          return Status::OK();
+    const size_t n = input.is_set() ? input.children().size() : 1;
+    OnBatchStart(ctx, n);
+    Slots slots(n);
+    AQUA_RETURN_IF_ERROR(ForEachItem(
+        ctx, input, spec_.items,
+        [&](const Datum& item, size_t i, size_t worker) -> Status {
+          Result<Datum> r = RunOnItem(ctx, item, i, worker);
+          Status st = r.status();
+          slots[i].emplace(std::move(r));
+          return st;
         }));
-    // RunMorsels returned OK, so every slot holds an OK result; merging in
-    // item order reproduces the serial insertion sequence exactly.
+    // Every slot holds an OK result; merging in item order reproduces the
+    // serial insertion sequence exactly.
     AQUA_RETURN_IF_ERROR(AfterItems(ctx, &slots));
+    if (!input.is_set() && spec_.single_passthrough) {
+      return std::move(**slots[0]);
+    }
     Datum out = Datum::Set({});
     for (auto& slot : slots) MergeInto(&out, std::move(**slot));
     return out;
-  }
-  Status CheckItem(ExecContext& ctx, const Datum& d, bool in_set) const {
-    if (spec_.over_lists ? !d.is_list() : !d.is_tree()) {
-      return Status::TypeError(in_set ? spec_.set_error : spec_.single_error);
-    }
-    (spec_.over_lists ? ctx.lists_processed : ctx.trees_processed)
-        .fetch_add(1, std::memory_order_relaxed);
-    return Status::OK();
   }
 
   void MergeInto(Datum* out, Datum&& r) const {
@@ -357,22 +313,17 @@ constexpr char kListSingleErr[] = "list operator applied to a non-list datum";
 constexpr char kListApplySetErr[] = "apply over a set containing a non-list";
 constexpr char kListApplySingleErr[] = "apply over a non-list datum";
 
-FanOutSpec TreeSpec(bool parallel) {
-  FanOutSpec spec;
-  spec.set_error = kTreeSetErr;
-  spec.single_error = kTreeSingleErr;
-  spec.parallel = parallel;
-  return spec;
+ItemLoop TreeItems(bool parallel) {
+  return ItemLoop{false, kTreeSetErr, kTreeSingleErr, parallel};
 }
 
-FanOutSpec ListSpec(bool parallel) {
-  FanOutSpec spec;
-  spec.over_lists = true;
-  spec.set_error = kListSetErr;
-  spec.single_error = kListSingleErr;
-  spec.parallel = parallel;
-  return spec;
+ItemLoop ListItems(bool parallel) {
+  return ItemLoop{true, kListSetErr, kListSingleErr, parallel};
 }
+
+FanOutSpec TreeSpec(bool parallel) { return {TreeItems(parallel)}; }
+
+FanOutSpec ListSpec(bool parallel) { return {ListItems(parallel)}; }
 
 // Spec for the split family: serial (the user callback declares no
 // thread-safety contract), and since that callback may capture the
@@ -389,18 +340,39 @@ FanOutSpec OpaqueListSpec() {
   return spec;
 }
 
-/// The one index probe of an index-anchored operator: its anchor's
-/// candidates in document order, counted into the execution's stats.
-Result<std::vector<NodeId>> ProbeAnchor(ExecContext& ctx, const PlanNode& n) {
-  AQUA_ASSIGN_OR_RETURN(const AttributeIndex* index,
-                        ctx.db->indexes().Get(n.collection, n.attr));
-  ctx.index_probes.fetch_add(1, std::memory_order_relaxed);
-  AQUA_ASSIGN_OR_RETURN(std::vector<NodeId> candidates,
-                        index->Probe(*n.anchor));
-  ctx.index_candidates.fetch_add(candidates.size(),
-                                 std::memory_order_relaxed);
-  return candidates;
-}
+/// Index-anchored sub_select, tree or list: one probe of the anchor's
+/// index, counted on this op, then the pattern matched at the candidates
+/// only, in document order.
+class IndexedSubSelectOp : public PhysicalOp {
+ public:
+  using PhysicalOp::PhysicalOp;
+
+ protected:
+  Result<Datum> RunImpl(ExecContext& ctx) override {
+    const PlanNode& n = *plan_;
+    if (n.op == PlanOp::kIndexedSubSelect) {
+      AQUA_ASSIGN_OR_RETURN(const Tree* tree, ctx.db->GetTree(n.collection));
+      AQUA_ASSIGN_OR_RETURN(std::vector<NodeId> candidates, Probe(ctx));
+      return TreeSubSelectAtRoots(ctx.view, *tree, n.tpattern, candidates,
+                                  n.split_opts);
+    }
+    AQUA_ASSIGN_OR_RETURN(const List* list, ctx.db->GetList(n.collection));
+    AQUA_ASSIGN_OR_RETURN(std::vector<NodeId> candidates, Probe(ctx));
+    return ListSubSelectAtBegins(ctx.view, *list, n.lpattern, candidates,
+                                 n.lsplit_opts);
+  }
+
+ private:
+  Result<std::vector<NodeId>> Probe(ExecContext& ctx) {
+    const PlanNode& n = *plan_;
+    AQUA_ASSIGN_OR_RETURN(const AttributeIndex* index,
+                          ctx.db->indexes().Get(n.collection, n.attr));
+    AQUA_ASSIGN_OR_RETURN(std::vector<NodeId> candidates,
+                          index->Probe(*n.anchor));
+    CountProbe(candidates.size());
+    return candidates;
+  }
+};
 
 }  // namespace
 
@@ -468,8 +440,8 @@ PhysicalOpRef Compile(const PlanRef& plan) {
       bool read_cert = ApplyParallelCertified(plan);
       bool write_cert = ApplySnapshotWriteCertified(plan);
       FanOutSpec spec = TreeSpec(/*parallel=*/read_cert || write_cert);
-      spec.set_error = kTreeApplySetErr;
-      spec.single_error = kTreeApplySingleErr;
+      spec.items.set_error = kTreeApplySetErr;
+      spec.items.single_error = kTreeApplySingleErr;
       spec.single_passthrough = true;
       spec.merge = FanOutSpec::Merge::kInsertResult;
       if (read_cert || write_cert) {
@@ -521,27 +493,8 @@ PhysicalOpRef Compile(const PlanRef& plan) {
                                n.split_opts);
           });
     case PlanOp::kIndexedSubSelect:
-      return std::make_shared<SimpleOp>(
-          plan, std::move(children),
-          [](ExecContext& ctx, const PlanNode& n) -> Result<Datum> {
-            AQUA_ASSIGN_OR_RETURN(const Tree* tree,
-                                  ctx.db->GetTree(n.collection));
-            AQUA_ASSIGN_OR_RETURN(std::vector<NodeId> candidates,
-                                  ProbeAnchor(ctx, n));
-            return TreeSubSelectAtRoots(ctx.view, *tree, n.tpattern,
-                                        candidates, n.split_opts);
-          });
     case PlanOp::kIndexedListSubSelect:
-      return std::make_shared<SimpleOp>(
-          plan, std::move(children),
-          [](ExecContext& ctx, const PlanNode& n) -> Result<Datum> {
-            AQUA_ASSIGN_OR_RETURN(const List* list,
-                                  ctx.db->GetList(n.collection));
-            AQUA_ASSIGN_OR_RETURN(std::vector<NodeId> candidates,
-                                  ProbeAnchor(ctx, n));
-            return ListSubSelectAtBegins(ctx.view, *list, n.lpattern,
-                                         candidates, n.lsplit_opts);
-          });
+      return std::make_shared<IndexedSubSelectOp>(plan, std::move(children));
     case PlanOp::kListSelect: {
       FanOutSpec spec = ListSpec(/*parallel=*/true);
       spec.single_passthrough = true;
@@ -559,8 +512,8 @@ PhysicalOpRef Compile(const PlanRef& plan) {
       bool read_cert = ApplyParallelCertified(plan);
       bool write_cert = ApplySnapshotWriteCertified(plan);
       FanOutSpec spec = ListSpec(/*parallel=*/read_cert || write_cert);
-      spec.set_error = kListApplySetErr;
-      spec.single_error = kListApplySingleErr;
+      spec.items.set_error = kListApplySetErr;
+      spec.items.single_error = kListApplySingleErr;
       spec.single_passthrough = true;
       spec.merge = FanOutSpec::Merge::kInsertResult;
       if (read_cert || write_cert) {
@@ -613,17 +566,27 @@ PhysicalOpRef Compile(const PlanRef& plan) {
 namespace {
 
 /// Shared batch machinery of the list/tree batched operators: run the
-/// common child once, fan the items out as morsels (mirroring `FanOutOp` —
-/// per-item checkpoint, exact interpreter type errors, order-stable
-/// slots), and merge each plan's per-item results in item order. Item type
-/// errors and checkpoint failures are batch-fatal (a standalone execution
-/// of *every* plan in the group would fail identically, since they share
-/// the input); a per-plan matcher error is not — it becomes that plan's
-/// result, chosen from the lowest-indexed failing item like the serial
-/// in-order loop.
+/// common child once, walk its items with the same `ForEachItem` loop as
+/// `FanOutOp` (per-item checkpoint, exact interpreter type errors, item
+/// count, order-stable slots), and merge each plan's per-item results in
+/// item order. Item type errors and checkpoint failures are batch-fatal (a
+/// standalone execution of *every* plan in the group would fail
+/// identically, since they share the input); a per-plan matcher error is
+/// not — it becomes that plan's result, chosen from the lowest-indexed
+/// failing item like the serial in-order loop.
 class BatchedMatchOpBase : public BatchedPatternOp {
  public:
-  using BatchedPatternOp::BatchedPatternOp;
+  BatchedMatchOpBase(PlanRef plan, std::vector<PhysicalOpRef> children,
+                     std::vector<PlanRef> plans)
+      : BatchedPatternOp(std::move(plan), std::move(children),
+                         std::move(plans)),
+        items_(plan_->op == PlanOp::kListSubSelect
+                   ? ListItems(/*parallel=*/true)
+                   : TreeItems(/*parallel=*/true)) {
+    // One logical pattern evaluation per plan, so the item count mirrors
+    // the work the group replaced.
+    items_.evaluations = plans_.size();
+  }
 
  protected:
   /// Evaluates all plans over one item, writing `plans_.size()` entries
@@ -631,42 +594,18 @@ class BatchedMatchOpBase : public BatchedPatternOp {
   virtual void RunItem(ExecContext& ctx, const Datum& item, size_t worker,
                        std::vector<Result<Datum>>* out) = 0;
 
-  /// True for the list group (drives the type check + counters).
-  virtual bool over_lists() const = 0;
-
   Result<Datum> RunImpl(ExecContext& ctx) override {
     AQUA_ASSIGN_OR_RETURN(Datum input, RunChild(0, ctx));
-    std::vector<const Datum*> items;
-    if (input.is_set()) {
-      items.reserve(input.children().size());
-      for (const Datum& d : input.children()) items.push_back(&d);
-    } else {
-      items.push_back(&input);
-    }
-    const bool in_set = input.is_set();
+    const size_t n_items = input.is_set() ? input.children().size() : 1;
     const size_t n_plans = plans_.size();
-
     std::vector<std::vector<Result<Datum>>> slots(
-        items.size(),
+        n_items,
         std::vector<Result<Datum>>(
             n_plans, Result<Datum>(Status::Internal("item not run"))));
-    FanOutOptions opts;
-    opts.threads = ctx.threads;
-    opts.trace = ctx.trace;
-    opts.morsels_run = &ctx.morsels_run;
-    opts.morsel_max_ns = &ctx.morsel_max_ns;
-    opts.query = ctx.query;
-    ThreadPool& pool = ctx.pool != nullptr ? *ctx.pool : ThreadPool::Shared();
-    AQUA_RETURN_IF_ERROR(RunMorsels(
-        pool, items.size(), opts, [&](const Morsel& m) -> Status {
-          for (size_t i = m.begin; i < m.end; ++i) {
-            if (ctx.query != nullptr) {
-              AQUA_RETURN_IF_ERROR(ctx.query->CheckPoint());
-              ctx.query->AddRows(1);
-            }
-            AQUA_RETURN_IF_ERROR(CheckItem(ctx, *items[i], in_set));
-            RunItem(ctx, *items[i], m.worker, &slots[i]);
-          }
+    AQUA_RETURN_IF_ERROR(ForEachItem(
+        ctx, input, items_,
+        [&](const Datum& item, size_t i, size_t worker) -> Status {
+          RunItem(ctx, item, worker, &slots[i]);
           return Status::OK();
         }));
 
@@ -677,7 +616,7 @@ class BatchedMatchOpBase : public BatchedPatternOp {
     for (size_t j = 0; j < n_plans; ++j) {
       Datum out = Datum::Set({});
       Status failed = Status::OK();
-      for (size_t i = 0; i < items.size(); ++i) {
+      for (size_t i = 0; i < n_items; ++i) {
         if (!slots[i][j].ok()) {
           failed = slots[i][j].status();
           break;
@@ -691,18 +630,7 @@ class BatchedMatchOpBase : public BatchedPatternOp {
   }
 
  private:
-  Status CheckItem(ExecContext& ctx, const Datum& d, bool in_set) const {
-    if (over_lists() ? !d.is_list() : !d.is_tree()) {
-      return Status::TypeError(
-          over_lists() ? (in_set ? kListSetErr : kListSingleErr)
-                       : (in_set ? kTreeSetErr : kTreeSingleErr));
-    }
-    // One logical pattern evaluation per plan, so the counters mirror the
-    // work the group replaced.
-    (over_lists() ? ctx.lists_processed : ctx.trees_processed)
-        .fetch_add(plans_.size(), std::memory_order_relaxed);
-    return Status::OK();
-  }
+  ItemLoop items_;
 };
 
 /// Batched list sub_select: the merged search automaton answers "does
@@ -725,8 +653,6 @@ class BatchedListMatchOp : public BatchedMatchOpBase {
   }
 
  protected:
-  bool over_lists() const override { return true; }
-
   void RunItem(ExecContext& ctx, const Datum& item, size_t worker,
                std::vector<Result<Datum>>* out) override {
     const List& list = item.list();
@@ -832,8 +758,6 @@ class BatchedTreeMatchOp : public BatchedMatchOpBase {
   }
 
  protected:
-  bool over_lists() const override { return false; }
-
   void RunItem(ExecContext& ctx, const Datum& item, size_t worker,
                std::vector<Result<Datum>>* out) override {
     const Tree& tree = item.tree();

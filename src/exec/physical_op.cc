@@ -2,6 +2,7 @@
 
 #include <string>
 
+#include "exec/morsel.h"
 #include "obs/digest.h"
 #include "obs/metrics.h"
 
@@ -61,70 +62,51 @@ Result<Datum> PhysicalOp::Run(ExecContext& ctx) {
   if (!ctx.view.valid() && ctx.db != nullptr) ctx.view = ctx.db->store();
   obs::Span span(ctx.trace,
                  plan_ == nullptr ? "(null)" : PlanOpToString(plan_->op));
-  if (plan_ != nullptr) {
-    ctx.operators_evaluated.fetch_add(1, std::memory_order_relaxed);
-    if (ctx.query != nullptr) {
-      ctx.query->set_current_op(PlanOpToString(plan_->op));
-    }
+  if (plan_ != nullptr && ctx.query != nullptr) {
+    ctx.query->set_current_op(PlanOpToString(plan_->op));
   }
   uint64_t cpu0 =
       ctx.query != nullptr ? obs::QueryContext::ThreadCpuNs() : 0;
-  // `Run` is serial on the query thread (only fan-out *items* go to
-  // workers), so the probe-counter delta around RunImpl is exactly this
-  // op's — the basis for the per-op candidates-per-probe statistic.
-  size_t probes0 = ctx.index_probes.load(std::memory_order_relaxed);
-  size_t cands0 = ctx.index_candidates.load(std::memory_order_relaxed);
   Result<Datum> result = RunImpl(ctx);
   uint64_t ns = span.ElapsedNs();
   AQUA_OBS_RECORD("exec.operator_ns", ns);
-  if (plan_ != nullptr) {
-    invocations_.fetch_add(1, std::memory_order_relaxed);
-    total_ns_.fetch_add(ns, std::memory_order_relaxed);
-    if (ctx.query != nullptr) {
-      cpu_ns_.fetch_add(obs::QueryContext::ThreadCpuNs() - cpu0,
-                        std::memory_order_relaxed);
+  if (plan_ == nullptr) return result;
+  ++invocations_;
+  total_ns_ += ns;
+  if (ctx.query != nullptr) {
+    cpu_ns_ += obs::QueryContext::ThreadCpuNs() - cpu0;
+  }
+  if (!result.ok()) return result;
+  size_t out = DatumCardinality(*result);
+  last_output_size_ = out;
+  span.AddAttr("out", static_cast<int64_t>(out));
+  // Observed input cardinality: what this op actually consumed. With
+  // inputs it is their combined outputs; an index probe consumes its
+  // candidate set; a source leaf "consumes" what it materialized
+  // (selectivity 1 by definition).
+  size_t in = 0;
+  if (!children_.empty()) {
+    for (const PhysicalOpRef& child : children_) {
+      in += child->last_output_size();
     }
-    if (result.ok()) {
-      size_t out = DatumCardinality(*result);
-      last_output_size_.store(out, std::memory_order_relaxed);
-      span.AddAttr("out", static_cast<int64_t>(out));
-      bool indexed = plan_->op == PlanOp::kIndexedSubSelect ||
-                     plan_->op == PlanOp::kIndexedListSubSelect;
-      size_t dprobes =
-          ctx.index_probes.load(std::memory_order_relaxed) - probes0;
-      size_t dcands =
-          ctx.index_candidates.load(std::memory_order_relaxed) - cands0;
-      if (indexed) {
-        probes_.fetch_add(dprobes, std::memory_order_relaxed);
-        candidates_.fetch_add(dcands, std::memory_order_relaxed);
-      }
-      // Observed input cardinality: what this op actually consumed. With
-      // inputs it is their combined outputs; an index probe consumes its
-      // candidate set; a source leaf "consumes" what it materialized
-      // (selectivity 1 by definition).
-      size_t in = 0;
-      if (!children_.empty()) {
-        for (const PhysicalOpRef& child : children_) {
-          in += child->last_output_size();
-        }
-      } else if (indexed) {
-        in = dcands;
-      } else {
-        in = out;
-      }
-      in_rows_.store(in, std::memory_order_relaxed);
-      if (ctx.query != nullptr) {
-        // Charge this op's materialized output and release the children's:
-        // their results were just consumed to produce ours, so the live
-        // estimate tracks the high-water of operator outputs in flight.
-        size_t bytes = ApproxDatumBytes(*result);
-        out_bytes_.store(bytes, std::memory_order_relaxed);
-        ctx.query->AddMem(static_cast<int64_t>(bytes));
-        for (const PhysicalOpRef& child : children_) {
-          uint64_t freed =
-              child->out_bytes_.exchange(0, std::memory_order_relaxed);
-          if (freed != 0) ctx.query->AddMem(-static_cast<int64_t>(freed));
-        }
+  } else if (probes_ != 0) {
+    in = candidates_;
+  } else {
+    in = out;
+  }
+  in_rows_ = in;
+  if (ctx.query != nullptr) {
+    // Charge this op's materialized output and release the children's:
+    // their results were just consumed to produce ours, so the live
+    // estimate tracks the high-water of operator outputs in flight. The
+    // reported `out_bytes_` stays.
+    out_bytes_ = ApproxDatumBytes(*result);
+    live_bytes_ = out_bytes_;
+    ctx.query->AddMem(static_cast<int64_t>(live_bytes_));
+    for (const PhysicalOpRef& child : children_) {
+      if (child->live_bytes_ != 0) {
+        ctx.query->AddMem(-static_cast<int64_t>(child->live_bytes_));
+        child->live_bytes_ = 0;
       }
     }
   }
@@ -138,6 +120,40 @@ Result<Datum> PhysicalOp::RunChild(size_t i, ExecContext& ctx) {
   return children_[i]->Run(ctx);
 }
 
+Status PhysicalOp::ForEachItem(
+    ExecContext& ctx, const Datum& input, const ItemLoop& loop,
+    FunctionRef<Status(const Datum&, size_t, size_t)> fn) {
+  std::atomic<size_t>& count = loop.over_lists ? lists_ : trees_;
+  auto run_item = [&](const Datum& item, bool in_set, size_t index,
+                      size_t worker) -> Status {
+    if (ctx.query != nullptr) {
+      AQUA_RETURN_IF_ERROR(ctx.query->CheckPoint());
+      ctx.query->AddRows(1);
+    }
+    if (loop.over_lists ? !item.is_list() : !item.is_tree()) {
+      return Status::TypeError(in_set ? loop.set_error : loop.single_error);
+    }
+    count.fetch_add(loop.evaluations, std::memory_order_relaxed);
+    return fn(item, index, worker);
+  };
+  if (!input.is_set()) return run_item(input, /*in_set=*/false, 0, 0);
+
+  const std::vector<Datum>& items = input.children();
+  FanOutOptions opts;
+  opts.threads = loop.parallel ? ctx.threads : 1;
+  opts.trace = ctx.trace;
+  opts.morsels_run = &ctx.morsels_run;
+  opts.morsel_max_ns = &ctx.morsel_max_ns;
+  opts.query = ctx.query;
+  ThreadPool& pool = ctx.pool != nullptr ? *ctx.pool : ThreadPool::Shared();
+  return RunMorsels(pool, items.size(), opts, [&](const Morsel& m) -> Status {
+    for (size_t i = m.begin; i < m.end; ++i) {
+      AQUA_RETURN_IF_ERROR(run_item(items[i], /*in_set=*/true, i, m.worker));
+    }
+    return Status::OK();
+  });
+}
+
 namespace {
 
 void CollectOpSamplesInto(const PhysicalOpRef& op, const std::string& path,
@@ -148,13 +164,17 @@ void CollectOpSamplesInto(const PhysicalOpRef& op, const std::string& path,
     s.op_name = PlanOpToString(op->plan()->op);
     s.path = path;
     s.node_fp = obs::FingerprintPlan(op->plan_ref());
+    s.node = op->plan();
     s.calls = op->invocations();
     s.in_rows = op->in_rows();
     s.out_rows = op->last_output_size();
+    s.out_bytes = op->out_bytes();
     s.wall_ns = op->total_ns();
     s.cpu_ns = op->cpu_ns();
     s.probes = op->probes();
     s.candidates = op->candidates();
+    s.trees = op->trees();
+    s.lists = op->lists();
     out->push_back(std::move(s));
   }
   for (size_t i = 0; i < op->children().size(); ++i) {

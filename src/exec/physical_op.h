@@ -6,6 +6,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/function_ref.h"
 #include "common/result.h"
 #include "bulk/datum.h"
 #include "exec/thread_pool.h"
@@ -22,11 +23,12 @@ class PhysicalOp;
 using PhysicalOpRef = std::shared_ptr<PhysicalOp>;
 
 /// Everything one `Execute` call threads through the physical operator
-/// tree: the database, the parallelism budget, the query trace, and the
-/// cross-thread execution counters that back `Executor::stats()`.
+/// tree: the database, the parallelism budget, the query trace and the
+/// lifecycle context. Work counts live on the ops themselves (see
+/// `PhysicalOp`); the executor sums them into `ExecStats` after the run.
 ///
-/// The counter fields are atomics because fan-out items bump them from
-/// worker threads; everything else is written by the query thread only.
+/// Written by the query thread only, except the two morsel sinks, which
+/// fan-out workers bump.
 struct ExecContext {
   Database* db = nullptr;
   ThreadPool* pool = nullptr;
@@ -48,18 +50,28 @@ struct ExecContext {
   /// after the fork point, never during a mutation.
   StoreView view;
 
-  std::atomic<size_t> operators_evaluated{0};
-  std::atomic<size_t> trees_processed{0};
-  std::atomic<size_t> lists_processed{0};
-  std::atomic<size_t> index_probes{0};
-  std::atomic<size_t> index_candidates{0};
-
   // Parallel-path shape of this Execute, harvested by the executor for the
   // flight recorder: morsels executed across every fan-out, and the wall
   // time of the slowest single morsel (the skew highlight). Both stay 0 on
   // the serial path.
   std::atomic<size_t> morsels_run{0};
   std::atomic<uint64_t> morsel_max_ns{0};
+};
+
+/// How `PhysicalOp::ForEachItem` walks the tree/list items of an input.
+struct ItemLoop {
+  /// Item type: lists when true, trees otherwise (drives the type check
+  /// and which item count the op bumps).
+  bool over_lists = false;
+  /// Exact interpreter TypeError messages (contract-tested).
+  const char* set_error = "";
+  const char* single_error = "";
+  /// Whether set items may run on pool workers.
+  bool parallel = false;
+  /// Pattern evaluations one item stands for in the item count: 1, or the
+  /// group size for a batched group, so its count mirrors the work the
+  /// group replaced.
+  size_t evaluations = 1;
 };
 
 /// One compiled operator of the physical execution pipeline.
@@ -72,10 +84,15 @@ struct ExecContext {
 /// fan-out operator is offloaded to pool workers — so the query trace can
 /// be written without locks.
 ///
-/// Each op carries its own measurement atomics (invocations, total time,
-/// last output cardinality); the executor facade harvests them after the
-/// run to build EXPLAIN ANALYZE. Ops are compiled fresh per `Execute`, so
-/// the measurements are per-call by construction.
+/// Each op keeps its own record of this Execute (invocations, wall and
+/// CPU time, cardinalities, output bytes, index probes, items fanned out):
+/// the one source of the execution's accounting. After the run the
+/// executor harvests the records once (`CollectOpSamples`) for
+/// `ExecStats`, EXPLAIN ANALYZE and the plan catalogue. Ops are compiled
+/// fresh per `Execute`, and each runs at most once per `Execute`, so the
+/// records are per-call by construction. Only the item counts are bumped
+/// from worker threads; everything else is written by `Run` on the query
+/// thread.
 class PhysicalOp {
  public:
   PhysicalOp(PlanRef plan, std::vector<PhysicalOpRef> children)
@@ -98,42 +115,28 @@ class PhysicalOp {
   /// `RunImpl`, and records the per-op measurements.
   Result<Datum> Run(ExecContext& ctx);
 
-  /// Measurements of this Execute (see class comment).
-  size_t invocations() const {
-    return invocations_.load(std::memory_order_relaxed);
-  }
-  double total_ms() const {
-    return static_cast<double>(total_ns_.load(std::memory_order_relaxed)) /
-           1e6;
-  }
-  size_t last_output_size() const {
-    return last_output_size_.load(std::memory_order_relaxed);
-  }
+  /// This Execute's record (see class comment).
+  size_t invocations() const { return invocations_; }
+  uint64_t total_ns() const { return total_ns_; }
   /// Query-thread CPU attributed to this op's `Run` (fan-out helper work
   /// is accounted to the query total, not per-op).
-  double cpu_ms() const {
-    return static_cast<double>(cpu_ns_.load(std::memory_order_relaxed)) / 1e6;
-  }
-  /// Estimated bytes of the last output still charged to the query
-  /// (released when a parent op consumes it).
-  size_t out_bytes() const {
-    return out_bytes_.load(std::memory_order_relaxed);
-  }
-  uint64_t total_ns() const {
-    return total_ns_.load(std::memory_order_relaxed);
-  }
-  uint64_t cpu_ns() const { return cpu_ns_.load(std::memory_order_relaxed); }
+  uint64_t cpu_ns() const { return cpu_ns_; }
+  size_t last_output_size() const { return last_output_size_; }
+  /// Estimated bytes of the last output (kept after a parent consumed it;
+  /// the live charge against the query is released separately).
+  size_t out_bytes() const { return out_bytes_; }
   /// Observed input cardinality of the last call: the children's combined
   /// outputs; for an index probe the candidate count; for a source leaf
   /// its own output (the rows it materialized).
-  size_t in_rows() const { return in_rows_.load(std::memory_order_relaxed); }
-  /// Index probes issued / candidates returned during this op's `Run`
-  /// (indexed ops only — 0 elsewhere; exact because `Run` is serial on the
-  /// query thread, so the ExecContext counter delta belongs to this op).
-  size_t probes() const { return probes_.load(std::memory_order_relaxed); }
-  size_t candidates() const {
-    return candidates_.load(std::memory_order_relaxed);
-  }
+  size_t in_rows() const { return in_rows_; }
+  /// Index probes issued / candidates returned by this op (indexed ops
+  /// only, 0 elsewhere).
+  size_t probes() const { return probes_; }
+  size_t candidates() const { return candidates_; }
+  /// Tree / list items this op's fan-out evaluated (see
+  /// `ItemLoop::evaluations`).
+  size_t trees() const { return trees_.load(std::memory_order_relaxed); }
+  size_t lists() const { return lists_.load(std::memory_order_relaxed); }
 
   /// The logical subplan this op was compiled from, shared form — what
   /// `obs::FingerprintPlan` keys the stats warehouse with.
@@ -146,18 +149,40 @@ class PhysicalOp {
   /// that input.
   Result<Datum> RunChild(size_t i, ExecContext& ctx);
 
+  /// The one item loop of every fan-out, single-plan or batched: maps `fn`
+  /// over the items of `input` (its set elements, or `input` itself when it
+  /// is not a set). Set items run as morsels (`RunMorsels`) on up to
+  /// `ExecContext::threads` participants when `loop.parallel`; a single
+  /// input runs inline. Per item: the query checkpoint, `AddRows`, the type
+  /// check with the interpreter's messages, this op's item count, then
+  /// `fn(item, index, worker)`. Returns the lowest-indexed failure.
+  Status ForEachItem(
+      ExecContext& ctx, const Datum& input, const ItemLoop& loop,
+      FunctionRef<Status(const Datum&, size_t, size_t)> fn);
+
+  /// Counts one index probe that returned `candidates` nodes.
+  void CountProbe(size_t candidates) {
+    ++probes_;
+    candidates_ += candidates;
+  }
+
   PlanRef plan_;
   std::vector<PhysicalOpRef> children_;
 
  private:
-  std::atomic<size_t> invocations_{0};
-  std::atomic<uint64_t> total_ns_{0};
-  std::atomic<size_t> last_output_size_{0};
-  std::atomic<uint64_t> cpu_ns_{0};
-  std::atomic<uint64_t> out_bytes_{0};
-  std::atomic<size_t> in_rows_{0};
-  std::atomic<size_t> probes_{0};
-  std::atomic<size_t> candidates_{0};
+  size_t invocations_ = 0;
+  uint64_t total_ns_ = 0;
+  uint64_t cpu_ns_ = 0;
+  size_t last_output_size_ = 0;
+  size_t out_bytes_ = 0;
+  /// The part of `out_bytes_` still charged to the query's live memory;
+  /// released when a parent consumes the output.
+  size_t live_bytes_ = 0;
+  size_t in_rows_ = 0;
+  size_t probes_ = 0;
+  size_t candidates_ = 0;
+  std::atomic<size_t> trees_{0};
+  std::atomic<size_t> lists_{0};
 };
 
 /// Rough heap footprint of a datum (node/element payloads plus container
@@ -165,10 +190,11 @@ class PhysicalOp {
 /// accounting. O(size of the datum).
 size_t ApproxDatumBytes(const Datum& d);
 
-/// The post-run harvest walk: flattens the executed op tree into
-/// `obs::OpSample`s for `StatsWarehouse::Record`, preorder, with stable
-/// child-index paths ("0", "0.0", "0.1", ...). Ops that never ran
-/// (short-circuited branches) are skipped. `node_fp` is
+/// The one post-run harvest walk: flattens the executed op tree into
+/// `obs::OpSample`s, preorder, with stable child-index paths ("0", "0.0",
+/// "0.1", ...). The executor sums them into `ExecStats`, renders EXPLAIN
+/// ANALYZE from them and records them in the plan catalogue. Ops that
+/// never ran (short-circuited branches) are skipped. `node_fp` is
 /// `obs::FingerprintPlan` of each op's subplan.
 void CollectOpSamples(const PhysicalOpRef& root,
                       std::vector<obs::OpSample>* out);

@@ -16,10 +16,11 @@
 
 namespace aqua::obs {
 
-/// One physical operator's measurements from one `Execute`, harvested by
-/// `exec::CollectOpSamples` after the run. Plain data: the exec layer
-/// produces these, the catalogue consumes them, so `obs` never has to see
-/// an exec header.
+/// One physical operator's record from one `Execute`, harvested by
+/// `exec::CollectOpSamples` after the run: the executor sums these into
+/// `ExecStats`, renders EXPLAIN ANALYZE from them and the catalogue folds
+/// them. Plain data: the exec layer produces these, so `obs` never has to
+/// see an exec header.
 struct OpSample {
   /// `PlanOpToString` result — static storage, never freed.
   const char* op_name = "";
@@ -28,17 +29,27 @@ struct OpSample {
   /// `FingerprintPlan` of the subplan rooted at this op — the key the cost
   /// model can recompute for any candidate subplan during rewriting.
   uint64_t node_fp = 0;
+  /// The logical node the op was compiled from (EXPLAIN ANALYZE sums the
+  /// ops of one node). Valid only while the executed plan is alive; the
+  /// catalogue never reads it.
+  const PlanNode* node = nullptr;
   uint64_t calls = 0;
   /// Observed input cardinality (sum of the children's outputs; for leaf
   /// scans the rows scanned; for indexed probes the candidate count).
   uint64_t in_rows = 0;
   /// Observed output cardinality of the last call.
   uint64_t out_rows = 0;
+  /// Estimated bytes of the last output (`exec::ApproxDatumBytes`).
+  uint64_t out_bytes = 0;
   uint64_t wall_ns = 0;
   uint64_t cpu_ns = 0;
   /// Index probes and candidates returned (indexed ops only, else 0).
   uint64_t probes = 0;
   uint64_t candidates = 0;
+  /// Tree / list items the op's fan-out evaluated; a batched group counts
+  /// each item once per member plan.
+  uint64_t trees = 0;
+  uint64_t lists = 0;
 };
 
 /// One operator's EWMA-smoothed record inside a `PlanRow`.

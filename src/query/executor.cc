@@ -1,8 +1,10 @@
 #include "query/executor.h"
 
+#include <cinttypes>
 #include <cstdio>
 
 #include <algorithm>
+#include <map>
 
 #include "lint/lint.h"
 #include "obs/digest.h"
@@ -40,7 +42,7 @@ Result<Datum> Executor::Execute(const PlanRef& plan) {
 Result<Datum> Executor::RunUnit(const exec::PhysicalOpRef& root,
                                 std::span<const PlanRef> plans) {
   stats_ = ExecStats{};
-  op_stats_.clear();
+  op_samples_.clear();
   trace_.Clear();
   last_counters_.reset();
 
@@ -107,17 +109,18 @@ Result<Datum> Executor::RunUnit(const exec::PhysicalOpRef& root,
   }();
   uint64_t wall_ns = wall.ElapsedNs();
 
-  stats_.operators_evaluated =
-      ctx.operators_evaluated.load(std::memory_order_relaxed);
-  stats_.trees_processed = ctx.trees_processed.load(std::memory_order_relaxed);
-  stats_.lists_processed = ctx.lists_processed.load(std::memory_order_relaxed);
-  stats_.index_probes = ctx.index_probes.load(std::memory_order_relaxed);
-  stats_.index_candidates =
-      ctx.index_candidates.load(std::memory_order_relaxed);
+  // The one harvest of the unit's per-op records; ExecStats sums them.
+  exec::CollectOpSamples(root, &op_samples_);
+  for (const obs::OpSample& s : op_samples_) {
+    stats_.operators_evaluated += s.calls;
+    stats_.trees_processed += s.trees;
+    stats_.lists_processed += s.lists;
+    stats_.index_probes += s.probes;
+    stats_.index_candidates += s.candidates;
+  }
   stats_.query_id = qctx.id();
   stats_.cpu_ns = qctx.cpu_ns();
   stats_.mem_peak_bytes = qctx.mem_peak_bytes();
-  CollectOpStats(root);
 
   // Mirror this execution's ExecStats into the registry (and so into this
   // query's counters) before those are copied out.
@@ -148,15 +151,15 @@ Result<Datum> Executor::RunUnit(const exec::PhysicalOpRef& root,
       plans.size() > 1
           ? dynamic_cast<const exec::BatchedPatternOp*>(root.get())
           : nullptr;
-  std::vector<obs::OpSample> samples;
-  if (batch == nullptr) exec::CollectOpSamples(root, &samples);
+  static const std::vector<obs::OpSample> kNoSamples;
   for (size_t j = 0; j < plans.size(); ++j) {
     StatusCode code = result.ok() && batch != nullptr
                           ? batch->plan_results()[j].status().code()
                           : result.status().code();
     obs::StatsWarehouse::Global().Record(
         fingerprints[j], normalized[j], wall_ns / plans.size(),
-        qctx.mem_peak_bytes(), code, store_commit, samples);
+        qctx.mem_peak_bytes(), code, store_commit,
+        batch == nullptr ? op_samples_ : kNoSamples);
   }
 
 #ifndef AQUA_OBS_DISABLED
@@ -168,7 +171,6 @@ Result<Datum> Executor::RunUnit(const exec::PhysicalOpRef& root,
     };
     static const size_t kTreeSteps = slot("pattern.tree_steps");
     static const size_t kListSteps = slot("pattern.list_steps");
-    static const size_t kIndexProbes = slot("index.probes");
     static const size_t kNodesVisited =
         slot("algebra.structural_nodes_visited");
     obs::FlightEvent ev;
@@ -182,7 +184,7 @@ Result<Datum> Executor::RunUnit(const exec::PhysicalOpRef& root,
     ev.max_morsel_ns = ctx.morsel_max_ns.load(std::memory_order_relaxed);
     ev.tree_steps = qctx.counter(kTreeSteps);
     ev.list_steps = qctx.counter(kListSteps);
-    ev.index_probes = qctx.counter(kIndexProbes);
+    ev.index_probes = stats_.index_probes;
     ev.nodes_visited = qctx.counter(kNodesVisited);
     ev.query_id = qctx.id();
     ev.cpu_ns = qctx.cpu_ns();
@@ -295,26 +297,6 @@ void Executor::ExecuteGroup(const std::vector<PlanRef>& plans,
   }
 }
 
-void Executor::CollectOpStats(const exec::PhysicalOpRef& op) {
-  if (op == nullptr || op->plan() == nullptr) return;
-  if (op->invocations() > 0) {
-    // A plan node shared between two parents compiles to two physical ops;
-    // summing reproduces the interpreter's per-node accumulation.
-    OperatorStats& os = op_stats_[op->plan()];
-    os.invocations += op->invocations();
-    os.total_ms += op->total_ms();
-    os.last_output_size = op->last_output_size();
-    os.cpu_ms += op->cpu_ms();
-    os.out_bytes += op->out_bytes();
-    os.in_rows = op->in_rows();
-    os.probes += op->probes();
-    os.candidates += op->candidates();
-  }
-  for (const exec::PhysicalOpRef& child : op->children()) {
-    CollectOpStats(child);
-  }
-}
-
 namespace {
 
 /// One estimated-rows figure per plan node, from the stats-informed cost
@@ -331,7 +313,7 @@ void CollectEstimates(const CostModel& model, const PlanRef& node,
 }
 
 void RenderAnalyzed(const PlanRef& node,
-                    const std::map<const PlanNode*, OperatorStats>& stats,
+                    const std::map<const PlanNode*, obs::OpSample>& ops,
                     const std::map<const PlanNode*, double>& ests,
                     size_t indent, std::string* out) {
   out->append(indent * 2, ' ');
@@ -340,22 +322,22 @@ void RenderAnalyzed(const PlanRef& node,
     return;
   }
   *out += DescribeNode(*node);
-  auto it = stats.find(node.get());
-  if (it != stats.end()) {
+  auto it = ops.find(node.get());
+  if (it != ops.end()) {
+    const obs::OpSample& op = it->second;
     char buf[144];
     std::snprintf(buf, sizeof(buf),
-                  "  (%zu call%s, %.3f ms, out=%zu, cpu=%.3f ms, bytes~%zu",
-                  it->second.invocations,
-                  it->second.invocations == 1 ? "" : "s",
-                  it->second.total_ms, it->second.last_output_size,
-                  it->second.cpu_ms, it->second.out_bytes);
+                  "  (%" PRIu64 " call%s, %.3f ms, out=%" PRIu64
+                  ", cpu=%.3f ms, bytes~%" PRIu64,
+                  op.calls, op.calls == 1 ? "" : "s", op.wall_ns / 1e6,
+                  op.out_rows, op.cpu_ns / 1e6, op.out_bytes);
     *out += buf;
     auto est_it = ests.find(node.get());
     if (est_it != ests.end()) {
       // Q-error: the symmetric misestimation factor, +1-smoothed so empty
       // outputs compare cleanly. 1.00 = perfect.
       double est = est_it->second;
-      double act = static_cast<double>(it->second.last_output_size);
+      double act = static_cast<double>(op.out_rows);
       double q = std::max((est + 1.0) / (act + 1.0), (act + 1.0) / (est + 1.0));
       std::snprintf(buf, sizeof(buf), ", est=%.0f, act=%.0f, q=%.2f", est,
                     act, q);
@@ -367,7 +349,7 @@ void RenderAnalyzed(const PlanRef& node,
   }
   *out += "\n";
   for (const PlanRef& child : node->children) {
-    RenderAnalyzed(child, stats, ests, indent + 1, out);
+    RenderAnalyzed(child, ops, ests, indent + 1, out);
   }
 }
 
@@ -384,8 +366,19 @@ std::string Executor::ExplainAnalyze(const PlanRef& plan) const {
   std::map<const PlanNode*, double> ests;
   CostModel model(db_, &obs::StatsWarehouse::Global());
   CollectEstimates(model, plan, &ests);
+  // A plan node shared between two parents compiles to two physical ops;
+  // their figures are summed (the last output's cardinality is kept).
+  std::map<const PlanNode*, obs::OpSample> ops;
+  for (const obs::OpSample& s : op_samples_) {
+    obs::OpSample& sum = ops[s.node];
+    sum.calls += s.calls;
+    sum.wall_ns += s.wall_ns;
+    sum.cpu_ns += s.cpu_ns;
+    sum.out_bytes += s.out_bytes;
+    sum.out_rows = s.out_rows;
+  }
   std::string out;
-  RenderAnalyzed(plan, op_stats_, ests, 0, &out);
+  RenderAnalyzed(plan, ops, ests, 0, &out);
   return out;
 }
 

@@ -1,7 +1,6 @@
 #ifndef AQUA_QUERY_EXECUTOR_H_
 #define AQUA_QUERY_EXECUTOR_H_
 
-#include <map>
 #include <optional>
 #include <span>
 #include <string>
@@ -12,6 +11,7 @@
 #include "exec/compile.h"
 #include "exec/thread_pool.h"
 #include "obs/metrics.h"
+#include "obs/stats.h"
 #include "obs/trace.h"
 #include "query/database.h"
 #include "query/plan.h"
@@ -19,7 +19,12 @@
 namespace aqua {
 
 /// Execution statistics of the last unit an executor ran (one `Execute`,
-/// or one batched group of `ExecuteBatch`). Filled in every build.
+/// or one batched group of `ExecuteBatch`). Filled in every build. The
+/// work counts are sums over the unit's per-op records
+/// (`exec::CollectOpSamples`): operators evaluated is the sum of op calls,
+/// index probes and candidates are counted on the indexed op that probed,
+/// and trees/lists processed are the items the fan-outs evaluated (a
+/// batched group counts each item once per member plan).
 struct ExecStats {
   size_t operators_evaluated = 0;
   size_t trees_processed = 0;
@@ -32,26 +37,6 @@ struct ExecStats {
   uint64_t query_id = 0;
   uint64_t cpu_ns = 0;
   uint64_t mem_peak_bytes = 0;
-};
-
-/// Per-operator measurements collected during `Execute`.
-struct OperatorStats {
-  size_t invocations = 0;
-  double total_ms = 0;
-  /// Cardinality of the last output (set elements / tree nodes / list
-  /// elements / 1 for scalars).
-  size_t last_output_size = 0;
-  /// Query-thread CPU spent in this op's Run (helper CPU is accounted to
-  /// the query total, not per-op).
-  double cpu_ms = 0;
-  /// Estimated bytes of the op's last output.
-  size_t out_bytes = 0;
-  /// Observed input cardinality of the last call (children's outputs; an
-  /// index probe's candidate set; a source leaf's own output).
-  size_t in_rows = 0;
-  /// Index probes / candidates attributed to this op (indexed ops only).
-  size_t probes = 0;
-  size_t candidates = 0;
 };
 
 /// Facade over the compiled physical execution pipeline: each `Execute`
@@ -155,10 +140,6 @@ class Executor {
   std::string ExplainAnalyze(const PlanRef& plan) const;
 
  private:
-  /// Harvests the per-op atomics of the compiled tree into `op_stats_`
-  /// (keyed by logical node, for ExplainAnalyze).
-  void CollectOpStats(const exec::PhysicalOpRef& op);
-
   /// The one query lifecycle behind `Execute` and `ExecuteGroup`: arms the
   /// limits, fingerprints `plans` and pins the view; runs `root` (a
   /// compiled plan, or the `BatchedPatternOp` answering a group's
@@ -186,7 +167,9 @@ class Executor {
   uint64_t timeout_ms_ = 0;
   uint64_t mem_limit_bytes_ = 0;
   ExecStats stats_;
-  std::map<const PlanNode*, OperatorStats> op_stats_;
+  /// The last unit's per-op records: `stats_` sums them, ExplainAnalyze
+  /// renders them.
+  std::vector<obs::OpSample> op_samples_;
   obs::Trace trace_;
   obs::QueryContext::CounterValues last_query_counters_{};
   mutable std::optional<obs::Snapshot> last_counters_;  // built on demand

@@ -143,23 +143,45 @@ TEST_F(DeterminismTest, RewritePairAgreesAtEveryThreadCount) {
 
 TEST_F(DeterminismTest, StatsCountersAreThreadCountInvariant) {
   // Success-path ExecStats are exact counts of work items, independent of
-  // how morsels were scheduled.
-  auto plan = Q::TreeSelect(
-      Q::TreeSubSelect(Q::ScanTree("rand"),
-                       TP("{name == \"a\"}(?* ? ?*)")),
-      P("val < 50"));
-  Executor serial(&db_);
-  serial.set_threads(1);
-  ASSERT_OK(serial.Execute(plan).status());
-  ExecStats want = serial.stats();
-
-  for (size_t threads : kThreadCounts) {
+  // how morsels were scheduled: for a plain fan-out, an indexed plan, and
+  // a batched group over an indexed input.
+  PlanRef anchored = Q::IndexedSubSelect(
+      "rand", "name", P("name == \"a\""), TP("{name == \"a\"}(?* ? ?*)"));
+  const std::vector<std::vector<PlanRef>> units = {
+      {Q::TreeSelect(Q::TreeSubSelect(Q::ScanTree("rand"),
+                                      TP("{name == \"a\"}(?* ? ?*)")),
+                     P("val < 50"))},
+      {Q::TreeSelect(anchored, P("val < 50"))},
+      {Q::TreeSubSelect(anchored, TP("{name == \"b\"}")),
+       Q::TreeSubSelect(anchored, TP("?(? {name == \"c\"})")),
+       Q::TreeSubSelect(anchored, TP("{val < 50}"))},
+  };
+  auto run = [&](const std::vector<PlanRef>& unit, size_t threads) {
     Executor exec(&db_);
     exec.set_threads(threads);
-    ASSERT_OK(exec.Execute(plan).status());
-    EXPECT_EQ(exec.stats().operators_evaluated, want.operators_evaluated);
-    EXPECT_EQ(exec.stats().trees_processed, want.trees_processed);
-    EXPECT_EQ(exec.stats().lists_processed, want.lists_processed);
+    if (unit.size() == 1) {
+      EXPECT_OK(exec.Execute(unit[0]).status());
+    } else {
+      for (const Result<Datum>& r : exec.ExecuteBatch(unit)) EXPECT_OK(r);
+    }
+    return exec.stats();
+  };
+  for (size_t u = 0; u < units.size(); ++u) {
+    ExecStats want = run(units[u], 1);
+    if (u > 0) {
+      EXPECT_EQ(want.index_probes, 1u) << "unit " << u;
+      EXPECT_GT(want.index_candidates, 0u) << "unit " << u;
+    }
+    for (size_t threads : kThreadCounts) {
+      ExecStats got = run(units[u], threads);
+      SCOPED_TRACE("unit " + std::to_string(u) + " at threads=" +
+                   std::to_string(threads));
+      EXPECT_EQ(got.operators_evaluated, want.operators_evaluated);
+      EXPECT_EQ(got.trees_processed, want.trees_processed);
+      EXPECT_EQ(got.lists_processed, want.lists_processed);
+      EXPECT_EQ(got.index_probes, want.index_probes);
+      EXPECT_EQ(got.index_candidates, want.index_candidates);
+    }
   }
 }
 

@@ -57,6 +57,16 @@ class PhysicalOpTest : public ::testing::Test {
   LabelFn label_;
 };
 
+/// Operators evaluated by one run of `op`'s tree, read from the per-op
+/// records the executor sums into `ExecStats::operators_evaluated`.
+size_t OperatorsEvaluated(const exec::PhysicalOpRef& op) {
+  std::vector<obs::OpSample> samples;
+  exec::CollectOpSamples(op, &samples);
+  size_t calls = 0;
+  for (const obs::OpSample& s : samples) calls += s.calls;
+  return calls;
+}
+
 TEST_F(PhysicalOpTest, CompileNeverReturnsNull) {
   auto op = exec::Compile(nullptr);
   ASSERT_NE(op, nullptr);
@@ -68,7 +78,7 @@ TEST_F(PhysicalOpTest, CompileNeverReturnsNull) {
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsInvalidArgument());
   // The null op does not count as an evaluated operator (interpreter parity).
-  EXPECT_EQ(ctx.operators_evaluated.load(), 0u);
+  EXPECT_EQ(OperatorsEvaluated(op), 0u);
 }
 
 TEST_F(PhysicalOpTest, CompiledTreeMirrorsPlanShape) {
@@ -91,7 +101,7 @@ TEST_F(PhysicalOpTest, RunRecordsPerOpMeasurements) {
   EXPECT_EQ(op->invocations(), 1u);
   EXPECT_EQ(op->last_output_size(), 2u);
   EXPECT_EQ(op->children()[0]->invocations(), 1u);
-  EXPECT_EQ(ctx.operators_evaluated.load(), 2u);
+  EXPECT_EQ(OperatorsEvaluated(op), 2u);
 }
 
 // Regression: every ExecStats field and the per-op tables must be reset at

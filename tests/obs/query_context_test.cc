@@ -150,7 +150,7 @@ TEST(QueryContextTest, ClocksAdvance) {
   // Burn a little CPU so the thread clock moves.
   volatile uint64_t sink = 0;
   uint64_t c0 = QueryContext::ThreadCpuNs();
-  for (int i = 0; i < 100000; ++i) sink += static_cast<uint64_t>(i);
+  for (int i = 0; i < 100000; ++i) sink = sink + static_cast<uint64_t>(i);
   EXPECT_GE(QueryContext::ThreadCpuNs(), c0);
 }
 

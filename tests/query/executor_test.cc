@@ -9,6 +9,7 @@
 #include <thread>
 #include <vector>
 
+#include "exec/physical_op.h"
 #include "obs/digest.h"
 #include "obs/recorder.h"
 #include "query/builder.h"
@@ -341,6 +342,90 @@ TEST_F(ExecutorTest, PerOperatorStatsResetEachExecute) {
   EXPECT_EQ(exec.stats().operators_evaluated, 1u);
 }
 
+TEST_F(ExecutorTest, ExplainAnalyzeKeepsBytesOfConsumedOps) {
+  // The scan's output is consumed by the sub_select, which releases its
+  // live memory charge; the reported bytes must stay.
+  Executor scan_exec(&db_);
+  ASSERT_OK_AND_ASSIGN(Datum scanned, scan_exec.Execute(Q::ScanTree("t")));
+  const std::string want =
+      "bytes~" + std::to_string(exec::ApproxDatumBytes(scanned)) + ",";
+
+  Executor exec(&db_);
+  auto plan = Q::TreeSubSelect(Q::ScanTree("t"), TP("b(d ?)"));
+  ASSERT_OK(exec.Execute(plan).status());
+  std::string analyzed = exec.ExplainAnalyze(plan);
+  size_t scan = analyzed.find("ScanTree");
+  ASSERT_NE(scan, std::string::npos) << analyzed;
+  std::string scan_line =
+      analyzed.substr(scan, analyzed.find('\n', scan) - scan);
+  EXPECT_NE(scan_line.find(want), std::string::npos) << analyzed;
+}
+
+TEST_F(ExecutorTest, ExecStatsDoNotDependOnTheRegistry) {
+  // ExecStats are summed from the per-op records, so they are the same
+  // whether the metrics registry counts or not (and in a build with the
+  // obs macros compiled out).
+  ASSERT_OK(db_.CreateIndex("t", "name"));
+  ASSERT_OK(db_.CreateIndex("l", "name"));
+  PlanRef tree_in =
+      Q::IndexedSubSelect("t", "name", P("name == \"b\""), TP("b(?*)"));
+  PlanRef list_in =
+      Q::IndexedListSubSelect("l", "name", P("name == \"a\""), LP("a ?"));
+  auto run_all = [&]() {
+    std::vector<ExecStats> out;
+    Executor exec(&db_);
+    exec.set_threads(2);
+    auto execute = [&](const PlanRef& plan) {
+      EXPECT_OK(exec.Execute(plan).status());
+      out.push_back(exec.stats());
+    };
+    auto batch = [&](const std::vector<PlanRef>& plans) {
+      for (const Result<Datum>& r : exec.ExecuteBatch(plans)) EXPECT_OK(r);
+      out.push_back(exec.stats());
+    };
+    execute(Q::TreeSelect(Q::TreeSubSelect(Q::ScanTree("t"), TP("b(d ?)")),
+                          P("name != \"zzz\"")));
+    execute(tree_in);
+    execute(list_in);
+    batch({Q::TreeSubSelect(tree_in, TP("d")),
+           Q::TreeSubSelect(tree_in, TP("b(d f)"))});
+    batch({Q::ListSubSelect(list_in, LP("a")),
+           Q::ListSubSelect(list_in, LP("? y"))});
+    return out;
+  };
+  obs::Registry::set_enabled(false);
+  std::vector<ExecStats> off = run_all();
+  obs::Registry::set_enabled(true);
+  std::vector<ExecStats> on = run_all();
+
+  ASSERT_EQ(off.size(), 5u);
+  ASSERT_EQ(on.size(), 5u);
+  for (size_t i = 0; i < on.size(); ++i) {
+    SCOPED_TRACE("plan set entry " + std::to_string(i));
+    EXPECT_EQ(off[i].operators_evaluated, on[i].operators_evaluated);
+    EXPECT_EQ(off[i].trees_processed, on[i].trees_processed);
+    EXPECT_EQ(off[i].lists_processed, on[i].lists_processed);
+    EXPECT_EQ(off[i].index_probes, on[i].index_probes);
+    EXPECT_EQ(off[i].index_candidates, on[i].index_candidates);
+    EXPECT_GT(on[i].operators_evaluated, 0u);
+  }
+  // The figures themselves: select(sub_select(scan)) maps over one tree,
+  // then the two matched pieces.
+  EXPECT_EQ(on[0].operators_evaluated, 3u);
+  EXPECT_EQ(on[0].trees_processed, 3u);
+  for (size_t i : {1, 2}) {
+    EXPECT_EQ(on[i].index_probes, 1u);
+    EXPECT_EQ(on[i].index_candidates, 2u);
+  }
+  // Each group scans its two items once for both plans: the indexed input
+  // probed once, and every item counted once per member plan.
+  EXPECT_EQ(on[3].index_probes, 1u);
+  EXPECT_EQ(on[3].index_candidates, 2u);
+  EXPECT_EQ(on[3].trees_processed, 4u);
+  EXPECT_EQ(on[4].index_probes, 1u);
+  EXPECT_EQ(on[4].lists_processed, 4u);
+}
+
 TEST_F(ExecutorTest, TraceCapturesSpanTreePerExecute) {
   Executor exec(&db_);
   EXPECT_FALSE(exec.trace_enabled());
@@ -379,6 +464,9 @@ TEST_F(ExecutorTest, IndexedListSubSelectAttributesLayerCounters) {
   EXPECT_EQ(out.size(), 2u);
   ASSERT_EQ(exec.trace().size(), 2u);
   EXPECT_EQ(exec.trace().spans()[1].name, "IndexedListSubSelect");
+  // The flight event's probe count is the execution's own.
+  ASSERT_EQ(exec.stats().index_probes, 1u);
+  EXPECT_EQ(obs::FlightRecorder::Global().Dump().back().index_probes, 1u);
   // The counter delta attributed to this execution shows the layers that
   // did the work: the index probe and the NFA prefilter under sub_select.
   const obs::Snapshot& delta = exec.last_counters();
