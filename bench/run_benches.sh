@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Benchmark runner: thread-sweeps the fan-out benches, runs the snapshot
-# and batched multi-query benches and the stats-warmed plan-choice A/B
+# Benchmark runner: thread-sweeps the fan-out and single-item split
+# benches, runs the snapshot and batched multi-query benches and the stats-warmed plan-choice A/B
 # sweeps (cold vs warmed optimizer), and merges the per-bench JSON reports
 # (including the registry counters/gauges attributed to each run) into
 # BENCH.json. Each record carries a `source` field naming the bench run it
@@ -38,6 +38,13 @@ trap 'rm -rf "$tmpdir"' EXIT
   --benchmark_filter='BM_Kleene_FanOutThreads' \
   --benchmark_min_time="$MIN_TIME" \
   --json "$tmpdir/kleene_fanout.json"
+
+# Single-item splits: one list's begin ranges, one forest's select roots.
+# Recorded only; no CI gate reads them.
+"$BUILD_DIR/bench/bench_item_split" \
+  --benchmark_filter='BM_ItemSplit_' \
+  --benchmark_min_time="$MIN_TIME" \
+  --json "$tmpdir/item_split.json"
 
 "$BUILD_DIR/bench/bench_snapshot" \
   --benchmark_filter='BM_Snapshot_' \

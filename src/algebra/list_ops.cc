@@ -100,11 +100,9 @@ Result<Datum> ListSplit(const StoreView& store, const List& list,
   return out;
 }
 
-namespace {
-
-/// The sub_select result of `matches`: each matched sublist with its
-/// pruned runs removed, in match order.
-Datum MatchedSublists(const List& list, const std::vector<ListMatch>& matches) {
+Datum ListSubSelectOfMatches(const List& list,
+                             const std::vector<ListMatch>& matches) {
+  // Each matched sublist with its pruned runs removed, in match order.
   Datum out = Datum::Set({});
   for (const ListMatch& m : matches) {
     List y;
@@ -123,37 +121,32 @@ Datum MatchedSublists(const List& list, const std::vector<ListMatch>& matches) {
   return out;
 }
 
-}  // namespace
-
-namespace {
-
-/// The list existence prefilter. The search automaton's language is a
-/// superset of the backtracking matcher's matches (pruning shapes results,
-/// not the language; anchors only narrow it), so a negative single-pass
-/// scan proves there is no match and skips backtracking entirely. `dfa`
-/// runs over the one-pattern search automaton of `body`; null compiles one
-/// for this call. A pattern the automaton cannot compile (a tree atom)
-/// fails here with the error the matcher's own validation would give.
-Result<bool> PrefilterRejects(const StoreView& store, const List& list,
-                              const ListPatternRef& body, LazyMultiDfa* dfa) {
+// The search automaton's language is a superset of the backtracking
+// matcher's matches (pruning shapes results, not the language; anchors
+// only narrow it), so a negative single-pass scan proves there is no match
+// and skips backtracking entirely. A null `dfa` compiles the one-pattern
+// search automaton of `body` for this call. A pattern the automaton cannot
+// compile (a tree atom) fails here with the error the matcher's own
+// validation would give.
+Result<bool> ListPrefilterRejects(const StoreView& store, const List& list,
+                                  const ListPatternRef& body,
+                                  LazyMultiDfa* dfa) {
   if (dfa == nullptr) {
     AQUA_ASSIGN_OR_RETURN(MultiNfa nfa, MultiNfa::CompileSearch({body}));
     AQUA_ASSIGN_OR_RETURN(LazyMultiDfa own, LazyMultiDfa::Make(&nfa));
-    return PrefilterRejects(store, list, body, &own);
+    return ListPrefilterRejects(store, list, body, &own);
   }
   if (dfa->MatchAll(store, list) != 0) return false;
   AQUA_OBS_COUNT("pattern.nfa_prefilter_rejects", 1);
   return true;
 }
 
-}  // namespace
-
 Result<Datum> ListSubSelect(const StoreView& store, const List& list,
                             const AnchoredListPattern& lp,
                             const ListSplitOptions& opts,
                             LazyMultiDfa* prefilter) {
   AQUA_ASSIGN_OR_RETURN(bool rejected,
-                        PrefilterRejects(store, list, lp.body, prefilter));
+                        ListPrefilterRejects(store, list, lp.body, prefilter));
   if (rejected) return Datum::Set({});
   return ListSubSelectMatches(store, list, lp, opts);
 }
@@ -164,7 +157,7 @@ Result<Datum> ListSubSelectMatches(const StoreView& store, const List& list,
   ListMatcher matcher(store, list);
   AQUA_ASSIGN_OR_RETURN(std::vector<ListMatch> matches,
                         matcher.FindAll(lp, opts.match));
-  return MatchedSublists(list, matches);
+  return ListSubSelectOfMatches(list, matches);
 }
 
 Result<Datum> ListSubSelectAtBegins(const StoreView& store, const List& list,
@@ -177,7 +170,7 @@ Result<Datum> ListSubSelectAtBegins(const StoreView& store, const List& list,
   // scan.
   if (begins.size() * 16 >= list.size()) {
     AQUA_ASSIGN_OR_RETURN(bool rejected,
-                          PrefilterRejects(store, list, lp.body, nullptr));
+                          ListPrefilterRejects(store, list, lp.body));
     if (rejected) return Datum::Set({});
   }
   ListMatcher matcher(store, list);
@@ -185,7 +178,7 @@ Result<Datum> ListSubSelectAtBegins(const StoreView& store, const List& list,
       std::vector<ListMatch> matches,
       matcher.FindAllAtBegins(
           lp, std::vector<size_t>(begins.begin(), begins.end()), opts.match));
-  return MatchedSublists(list, matches);
+  return ListSubSelectOfMatches(list, matches);
 }
 
 Result<Datum> ListAllAnc(const StoreView& store, const List& list,

@@ -86,6 +86,18 @@ Result<Datum> ListSubSelect(const StoreView& store, const List& list,
                             const ListSplitOptions& opts = {},
                             LazyMultiDfa* prefilter = nullptr);
 
+/// The two halves of `ListSubSelect` around its backtracking search, for
+/// a caller that runs the search itself (over begin ranges, see
+/// `ListMatcher::FindAllInRange`). `ListPrefilterRejects` is the
+/// existence prefilter (true: `lp.body` matches nowhere in `list`; `dfa`
+/// as in `ListSubSelect`); `ListSubSelectOfMatches` builds the result set
+/// from matches in `FindAll` order.
+Result<bool> ListPrefilterRejects(const StoreView& store, const List& list,
+                                  const ListPatternRef& body,
+                                  LazyMultiDfa* dfa = nullptr);
+Datum ListSubSelectOfMatches(const List& list,
+                             const std::vector<ListMatch>& matches);
+
 /// `sub_select(lp)(L)` with match starts restricted to the positions
 /// `begins` (an index probe's answer on the pattern's head predicate).
 /// Agrees with `ListSubSelect` whenever every match of `lp` starts at one

@@ -83,57 +83,73 @@ Tree ReassembleSplit(const SplitPieces& pieces, const SplitOptions& opts) {
   return t;
 }
 
+namespace {
+
+/// Phase 1 finds, under each node, the topmost satisfying nodes; phase 2
+/// builds one result tree per satisfying node whose kept children are the
+/// topmost satisfying nodes under each of its subtrees.
+struct SelectBuilder {
+  const StoreView& store;
+  const Tree& tree;
+  const Predicate& pred;
+
+  bool Satisfies(NodeId v) const {
+    const NodePayload& p = tree.payload(v);
+    return p.is_cell() && pred.Eval(store, p.oid());
+  }
+
+  // Topmost satisfying nodes in the subtree rooted at v, left to right.
+  void Topmost(NodeId v, std::vector<NodeId>* out) const {
+    if (Satisfies(v)) {
+      out->push_back(v);
+      return;
+    }
+    for (NodeId c : tree.children(v)) Topmost(c, out);
+  }
+
+  NodeId Build(Tree* dst, NodeId v) const {
+    NodeId copy = dst->AddNode(tree.payload(v));
+    std::vector<NodeId> kept_children;
+    for (NodeId c : tree.children(v)) Topmost(c, &kept_children);
+    for (NodeId kc : kept_children) {
+      NodeId built = Build(dst, kc);
+      Status st = dst->AddChild(copy, built);
+      (void)st;
+    }
+    return copy;
+  }
+};
+
+}  // namespace
+
+Result<std::vector<NodeId>> TreeSelectRoots(const StoreView& store,
+                                            const Tree& tree,
+                                            const PredicateRef& pred) {
+  if (pred == nullptr) return Status::InvalidArgument("null predicate");
+  std::vector<NodeId> roots;
+  if (tree.empty()) return roots;
+  SelectBuilder{store, tree, *pred}.Topmost(tree.root(), &roots);
+  return roots;
+}
+
+Tree TreeSelectBuild(const StoreView& store, const Tree& tree,
+                     const Predicate& pred, NodeId root) {
+  Tree t;
+  NodeId built = SelectBuilder{store, tree, pred}.Build(&t, root);
+  Status st = t.SetRoot(built);
+  (void)st;
+  return t;
+}
+
 Result<std::vector<Tree>> TreeSelect(const StoreView& store,
                                      const Tree& tree,
                                      const PredicateRef& pred) {
-  if (pred == nullptr) return Status::InvalidArgument("null predicate");
+  AQUA_ASSIGN_OR_RETURN(std::vector<NodeId> roots,
+                        TreeSelectRoots(store, tree, pred));
   std::vector<Tree> forest;
-  if (tree.empty()) return forest;
-
-  // Phase 1: find, under each node, the topmost satisfying nodes.
-  // Phase 2: build one result tree per satisfying node whose kept children
-  // are the topmost satisfying nodes under each of its subtrees.
-  struct Builder {
-    const StoreView& store;
-    const Tree& tree;
-    const Predicate& pred;
-
-    bool Satisfies(NodeId v) const {
-      const NodePayload& p = tree.payload(v);
-      return p.is_cell() && pred.Eval(store, p.oid());
-    }
-
-    // Topmost satisfying nodes in the subtree rooted at v, left to right.
-    void Topmost(NodeId v, std::vector<NodeId>* out) const {
-      if (Satisfies(v)) {
-        out->push_back(v);
-        return;
-      }
-      for (NodeId c : tree.children(v)) Topmost(c, out);
-    }
-
-    NodeId Build(Tree* dst, NodeId v) const {
-      NodeId copy = dst->AddNode(tree.payload(v));
-      std::vector<NodeId> kept_children;
-      for (NodeId c : tree.children(v)) Topmost(c, &kept_children);
-      for (NodeId kc : kept_children) {
-        NodeId built = Build(dst, kc);
-        Status st = dst->AddChild(copy, built);
-        (void)st;
-      }
-      return copy;
-    }
-  };
-  Builder builder{store, tree, *pred};
-  std::vector<NodeId> roots;
-  builder.Topmost(tree.root(), &roots);
   forest.reserve(roots.size());
   for (NodeId r : roots) {
-    Tree t;
-    NodeId built = builder.Build(&t, r);
-    Status st = t.SetRoot(built);
-    (void)st;
-    forest.push_back(std::move(t));
+    forest.push_back(TreeSelectBuild(store, tree, *pred, r));
   }
   return forest;
 }

@@ -68,6 +68,18 @@ Result<std::vector<Tree>> TreeSelect(const StoreView& store,
                                      const Tree& tree,
                                      const PredicateRef& pred);
 
+/// The two phases of `TreeSelect`, for a caller that builds the forest's
+/// trees in parallel (`TreeSelect` is `TreeSelectBuild` over each of
+/// `TreeSelectRoots`, in order). `TreeSelectRoots` finds the kept nodes
+/// with no kept proper ancestor, left to right; `TreeSelectBuild` builds
+/// the result tree of one of them. Builds of distinct roots read disjoint
+/// subtrees and share nothing mutable.
+Result<std::vector<NodeId>> TreeSelectRoots(const StoreView& store,
+                                            const Tree& tree,
+                                            const PredicateRef& pred);
+Tree TreeSelectBuild(const StoreView& store, const Tree& tree,
+                     const Predicate& pred, NodeId root);
+
 /// `apply(f)(T)` (§4): maps every cell through `f`, yielding an isomorphic
 /// tree; point nodes are copied unchanged.
 Result<Tree> TreeApply(ObjectStore& store, const Tree& tree, const NodeFn& fn);

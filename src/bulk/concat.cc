@@ -64,12 +64,33 @@ Tree ConcatNilAt(const Tree& base, const std::string& label) {
 }
 
 Tree CloseAllPoints(const Tree& base) {
-  Tree out = base;
-  // Labels may repeat; process each distinct label once.
-  std::vector<std::string> labels = out.PointLabels();
-  for (const std::string& label : labels) {
-    out = ConcatNilAt(out, label);
-  }
+  // Closing every point with nil, in one copying pass: each point (and
+  // anything under it) is dropped, which is what closing its labels one
+  // by one produces, without a full copy per label. A point at the root
+  // leaves the empty tree; a tree without points is returned as is.
+  if (base.empty() || base.PointLabels().empty()) return base;
+  struct Closer {
+    const Tree& src;
+    Tree* dst;
+    NodeId Copy(NodeId s) {
+      const NodePayload& p = src.payload(s);
+      if (p.is_concat_point()) return kInvalidNode;
+      NodeId copy = dst->AddNode(p);
+      for (NodeId c : src.children(s)) {
+        NodeId cc = Copy(c);
+        if (cc == kInvalidNode) continue;
+        // Cannot fail: both nodes are fresh and detached.
+        Status st = dst->AddChild(copy, cc);
+        (void)st;
+      }
+      return copy;
+    }
+  };
+  Tree out;
+  NodeId root = Closer{base, &out}.Copy(base.root());
+  if (root == kInvalidNode) return Tree();
+  Status st = out.SetRoot(root);
+  (void)st;
   return out;
 }
 

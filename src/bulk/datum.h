@@ -1,6 +1,7 @@
 #ifndef AQUA_BULK_DATUM_H_
 #define AQUA_BULK_DATUM_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -24,6 +25,10 @@ class Datum {
 
   /// Constructs the null datum.
   Datum() = default;
+  Datum(const Datum& other);
+  Datum& operator=(const Datum& other);
+  Datum(Datum&& other) noexcept = default;
+  Datum& operator=(Datum&& other) noexcept = default;
 
   static Datum Scalar(Value v);
   static Datum Of(Tree t);
@@ -55,10 +60,23 @@ class Datum {
   /// Deep structural equality (sets compare order-insensitively).
   bool Equals(const Datum& other) const;
 
+  /// Structural hash that agrees with `Equals`: equal datums hash equal.
+  /// A tree hashes its payloads and arities in preorder (so NodeId
+  /// numbering does not matter), a list its elements, a scalar through
+  /// `Value::Hash` (8 and 8.0 agree), a set its element hashes
+  /// order-insensitively. O(size of the datum).
+  uint64_t Hash() const;
+
   /// True when the set contains an element equal to `d` (set datums only).
   bool SetContains(const Datum& d) const;
-  /// Inserts into a set datum unless an equal element is present.
+  /// Inserts into a set datum unless an equal element is present. The set
+  /// keeps each element's `Hash`, so the membership test costs one hash of
+  /// `d` plus an `Equals` per element with the same hash.
   void SetInsert(Datum d);
+  /// Inserts every element of the set `other`, in its order, like
+  /// `SetInsert` does, reusing the hashes `other` stores: a merge of item
+  /// result sets is O(output) with no element rehashed.
+  void SetUnion(Datum other);
   /// Appends to a tuple datum.
   void TupleAppend(Datum d);
 
@@ -72,6 +90,19 @@ class Datum {
   std::shared_ptr<const List> list_;
   std::shared_ptr<const Tree> tree_;
   std::vector<Datum> children_;
+  /// The element hashes of a set (positional with `children_`) and, from
+  /// `kSetTableMin` elements on, a linear-probing table over them holding
+  /// element index + 1 (0 = empty slot), at most half full.
+  struct SetIndex {
+    std::vector<uint64_t> hashes;
+    std::vector<uint32_t> table;
+  };
+  /// Sets only: null elsewhere, so other datums pay one pointer.
+  std::unique_ptr<SetIndex> set_index_;
+
+  SetIndex& EnsureSetIndex();
+  bool SetFind(uint64_t hash, const Datum& d) const;
+  void SetAppend(Datum d, uint64_t hash);
 };
 
 }  // namespace aqua

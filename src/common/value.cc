@@ -82,7 +82,8 @@ size_t Value::Hash() const {
       // compare Equals() also hash equal.
       return std::hash<double>{}(static_cast<double>(int_value()));
     case ValueType::kDouble:
-      return std::hash<double>{}(double_value());
+      // 0.0 and -0.0 compare equal, so they must hash equal.
+      return std::hash<double>{}(double_value() == 0.0 ? 0.0 : double_value());
     case ValueType::kString:
       return std::hash<std::string>{}(string_value());
     case ValueType::kRef:

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <iterator>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -106,6 +107,12 @@ class FanOutOp : public PhysicalOp {
   /// Called on the query thread before any item runs, with the batch size.
   virtual void OnBatchStart(ExecContext&, size_t) {}
 
+  /// A `RangeLoop` for splitting one item's own work: parallel only when
+  /// the batch is that one item and its loop may use workers.
+  RangeLoop ItemRanges(size_t min_per_range) const {
+    return RangeLoop{single_item_ && spec_.items.parallel, min_per_range};
+  }
+
   /// Called on the query thread after every item succeeded, before the
   /// merge; may rewrite the slot datums in place (the certified-apply
   /// commit hook). Not called when an item failed — a failing batch
@@ -124,6 +131,7 @@ class FanOutOp : public PhysicalOp {
   Result<Datum> RunBatch(ExecContext& ctx) {
     AQUA_ASSIGN_OR_RETURN(Datum input, RunChild(0, ctx));
     const size_t n = input.is_set() ? input.children().size() : 1;
+    single_item_ = n == 1;
     OnBatchStart(ctx, n);
     Slots slots(n);
     AQUA_RETURN_IF_ERROR(ForEachItem(
@@ -147,13 +155,14 @@ class FanOutOp : public PhysicalOp {
 
   void MergeInto(Datum* out, Datum&& r) const {
     if (spec_.merge == FanOutSpec::Merge::kUnionChildren) {
-      for (const Datum& d : r.children()) out->SetInsert(d);
+      out->SetUnion(std::move(r));
     } else {
       out->SetInsert(std::move(r));
     }
   }
 
   FanOutSpec spec_;
+  bool single_item_ = false;  // this run's input is one item
 };
 
 /// Fan-out whose per-item evaluation is a stateless function of the plan
@@ -282,8 +291,20 @@ class ListSearchDfas {
   std::optional<WorkerLocal<LazyMultiDfa>> dfas_;
 };
 
+/// Fewest begin positions per range of a split single-list sub_select. A
+/// list of fewer than twice this many runs as one range: matching 4096
+/// begins costs at least tens of microseconds, well above what one morsel
+/// costs to schedule.
+constexpr size_t kListBeginsPerRange = 4096;
+
 /// List sub_select with the existence prefilter's automaton hoisted into
-/// `Prepare`.
+/// `Prepare`. The backtracking search over a single input list splits its
+/// begin positions into ranges (`ForEachRange`): matches at distinct
+/// begins are independent, and `ListMatcher::FindAllInRange` of
+/// consecutive ranges concatenates to `FindAll`'s answer, so the result
+/// and the summed steps equal the serial ones. A pattern with a match or
+/// step budget stays one range, because both budgets count per matcher
+/// call and a split would hit them elsewhere than the serial loop does.
 class ListSubSelectOp : public FanOutOp {
  public:
   using FanOutOp::FanOutOp;
@@ -296,12 +317,74 @@ class ListSubSelectOp : public FanOutOp {
  protected:
   Result<Datum> RunOnItem(ExecContext& ctx, const Datum& item, size_t,
                           size_t worker) override {
-    return ListSubSelect(ctx.view, item.list(), plan_->lpattern,
-                         plan_->lsplit_opts, &dfas_.at(worker));
+    const List& list = item.list();
+    const AnchoredListPattern& lp = plan_->lpattern;
+    const ListMatchOptions& budget = plan_->lsplit_opts.match;
+    AQUA_ASSIGN_OR_RETURN(
+        bool rejected,
+        ListPrefilterRejects(ctx.view, list, lp.body, &dfas_.at(worker)));
+    if (rejected) return Datum::Set({});
+    RangeLoop loop = ItemRanges(kListBeginsPerRange);
+    loop.parallel = loop.parallel && !lp.anchor_begin &&
+                    budget.max_matches == 0 && budget.max_steps == 0;
+    const auto ranges = SplitRange(ctx, list.size() + 1, loop);
+    std::vector<std::vector<ListMatch>> parts(ranges.size());
+    AQUA_RETURN_IF_ERROR(
+        ForEachRange(ctx, ranges, [&](size_t r, size_t) -> Status {
+          ListMatcher matcher(ctx.view, list);
+          AQUA_ASSIGN_OR_RETURN(
+              parts[r], matcher.FindAllInRange(lp, ranges[r].first,
+                                               ranges[r].second, budget));
+          return Status::OK();
+        }));
+    std::vector<ListMatch> matches = std::move(parts[0]);
+    for (size_t r = 1; r < parts.size(); ++r) {
+      std::move(parts[r].begin(), parts[r].end(), std::back_inserter(matches));
+    }
+    return ListSubSelectOfMatches(list, matches);
   }
 
  private:
   ListSearchDfas dfas_;
+};
+
+/// A single input tree of at least this many nodes builds its select
+/// forest in parallel; a smaller one costs less than scheduling morsels.
+constexpr size_t kTreeSelectMinNodes = 4096;
+
+/// Tree select (§4). Over a single input tree large enough, the result
+/// trees of the topmost kept nodes are built as ranges of those roots
+/// (`ForEachRange`): each range builds its own set, and the sets merge in
+/// range order with their stored hashes, which yields the serial
+/// insertion order.
+class TreeSelectOp : public FanOutOp {
+ public:
+  using FanOutOp::FanOutOp;
+
+ protected:
+  Result<Datum> RunOnItem(ExecContext& ctx, const Datum& item, size_t,
+                          size_t) override {
+    const Tree& tree = item.tree();
+    AQUA_ASSIGN_OR_RETURN(std::vector<NodeId> roots,
+                          TreeSelectRoots(ctx.view, tree, plan_->pred));
+    RangeLoop loop = ItemRanges(/*min_per_range=*/1);
+    loop.parallel = loop.parallel && tree.size() >= kTreeSelectMinNodes;
+    const auto ranges = SplitRange(ctx, roots.size(), loop);
+    std::vector<Datum> parts(ranges.size());
+    AQUA_RETURN_IF_ERROR(
+        ForEachRange(ctx, ranges, [&](size_t r, size_t) -> Status {
+          Datum part = Datum::Set({});
+          for (size_t i = ranges[r].first; i < ranges[r].second; ++i) {
+            part.SetInsert(Datum::Of(
+                TreeSelectBuild(ctx.view, tree, *plan_->pred, roots[i])));
+          }
+          parts[r] = std::move(part);
+          return Status::OK();
+        }));
+    Datum out = Datum::Set({});
+    for (Datum& part : parts) out.SetUnion(std::move(part));
+    return out;
+  }
 };
 
 constexpr char kTreeSetErr[] = "tree operator over a set containing a non-tree";
@@ -420,19 +503,8 @@ PhysicalOpRef Compile(const PlanRef& plan) {
             return Datum::Of(std::move(list));
           });
     case PlanOp::kTreeSelect:
-      return std::make_shared<LambdaFanOutOp>(
-          plan, std::move(children), TreeSpec(/*parallel=*/true),
-          [](ExecContext& ctx, const PlanNode& n,
-             const Datum& item) -> Result<Datum> {
-            AQUA_ASSIGN_OR_RETURN(
-                std::vector<Tree> forest,
-                TreeSelect(ctx.view, item.tree(), n.pred));
-            Datum out = Datum::Set({});
-            for (Tree& piece : forest) {
-              out.SetInsert(Datum::Of(std::move(piece)));
-            }
-            return out;
-          });
+      return std::make_shared<TreeSelectOp>(plan, std::move(children),
+                                            TreeSpec(/*parallel=*/true));
     case PlanOp::kTreeApply: {
       // Three-mode compile. Certified (read-only effect, or store-writing
       // with no order dependence): snapshot-isolated morsel-parallel path.
@@ -569,11 +641,14 @@ namespace {
 /// common child once, walk its items with the same `ForEachItem` loop as
 /// `FanOutOp` (per-item checkpoint, exact interpreter type errors, item
 /// count, order-stable slots), and merge each plan's per-item results in
-/// item order. Item type errors and checkpoint failures are batch-fatal (a
-/// standalone execution of *every* plan in the group would fail
-/// identically, since they share the input); a per-plan matcher error is
-/// not — it becomes that plan's result, chosen from the lowest-indexed
-/// failing item like the serial in-order loop.
+/// item order. Per item, the subclass's gate picks the members that must
+/// run their matcher (the rest yield the empty set); over a single input
+/// item those members run as ranges on the pool (`ForEachRange`), since
+/// there is no item parallelism to use. Item type errors and checkpoint
+/// failures are batch-fatal (a standalone execution of *every* plan in
+/// the group would fail identically, since they share the input); a
+/// per-plan matcher error is not — it becomes that plan's result, chosen
+/// from the lowest-indexed failing item like the serial in-order loop.
 class BatchedMatchOpBase : public BatchedPatternOp {
  public:
   BatchedMatchOpBase(PlanRef plan, std::vector<PhysicalOpRef> children,
@@ -589,10 +664,14 @@ class BatchedMatchOpBase : public BatchedPatternOp {
   }
 
  protected:
-  /// Evaluates all plans over one item, writing `plans_.size()` entries
-  /// into `out` (pre-filled with per-plan placeholders).
-  virtual void RunItem(ExecContext& ctx, const Datum& item, size_t worker,
-                       std::vector<Result<Datum>>* out) = 0;
+  /// The group's shared scan of one item: bit j is set when plan j must
+  /// run its matcher there; a clear bit proves plan j matches nothing.
+  virtual uint64_t Gate(ExecContext& ctx, const Datum& item,
+                        size_t worker) = 0;
+
+  /// Plan j's own matcher over one item (any thread; no worker state).
+  virtual Result<Datum> RunMember(ExecContext& ctx, const Datum& item,
+                                  size_t j) = 0;
 
   Result<Datum> RunImpl(ExecContext& ctx) override {
     AQUA_ASSIGN_OR_RETURN(Datum input, RunChild(0, ctx));
@@ -600,13 +679,23 @@ class BatchedMatchOpBase : public BatchedPatternOp {
     const size_t n_plans = plans_.size();
     std::vector<std::vector<Result<Datum>>> slots(
         n_items,
-        std::vector<Result<Datum>>(
-            n_plans, Result<Datum>(Status::Internal("item not run"))));
+        std::vector<Result<Datum>>(n_plans, Result<Datum>(Datum::Set({}))));
+    const RangeLoop members_loop{n_items == 1 && items_.parallel, 1};
     AQUA_RETURN_IF_ERROR(ForEachItem(
         ctx, input, items_,
         [&](const Datum& item, size_t i, size_t worker) -> Status {
-          RunItem(ctx, item, worker, &slots[i]);
-          return Status::OK();
+          const uint64_t run = Gate(ctx, item, worker);
+          std::vector<size_t> members;
+          for (size_t j = 0; j < n_plans; ++j) {
+            if ((run >> j) & 1) members.push_back(j);
+          }
+          const auto ranges = SplitRange(ctx, members.size(), members_loop);
+          return ForEachRange(ctx, ranges, [&](size_t r, size_t) -> Status {
+            for (size_t k = ranges[r].first; k < ranges[r].second; ++k) {
+              slots[i][members[k]] = RunMember(ctx, item, members[k]);
+            }
+            return Status::OK();
+          });
         }));
 
     // Per plan: first failing item (in item order) wins, exactly like the
@@ -621,7 +710,7 @@ class BatchedMatchOpBase : public BatchedPatternOp {
           failed = slots[i][j].status();
           break;
         }
-        for (const Datum& d : slots[i][j]->children()) out.SetInsert(d);
+        out.SetUnion(std::move(*slots[i][j]));
       }
       results_[j] = failed.ok() ? Result<Datum>(std::move(out))
                                 : Result<Datum>(std::move(failed));
@@ -653,19 +742,18 @@ class BatchedListMatchOp : public BatchedMatchOpBase {
   }
 
  protected:
-  void RunItem(ExecContext& ctx, const Datum& item, size_t worker,
-               std::vector<Result<Datum>>* out) override {
-    const List& list = item.list();
+  uint64_t Gate(ExecContext& ctx, const Datum& item, size_t worker) override {
     size_t rows = 0;
-    const uint64_t matched = dfas_.at(worker).MatchAll(ctx.view, list, &rows);
+    const uint64_t matched =
+        dfas_.at(worker).MatchAll(ctx.view, item.list(), &rows);
     if (rows > 0) AQUA_OBS_COUNT("exec.batch_scan_rows", rows);
-    for (size_t j = 0; j < plans_.size(); ++j) {
-      (*out)[j] = (matched >> j) & 1
-                      ? ListSubSelectMatches(ctx.view, list,
-                                             plans_[j]->lpattern,
-                                             plans_[j]->lsplit_opts)
-                      : Result<Datum>(Datum::Set({}));
-    }
+    return matched;
+  }
+
+  Result<Datum> RunMember(ExecContext& ctx, const Datum& item,
+                          size_t j) override {
+    return ListSubSelectMatches(ctx.view, item.list(), plans_[j]->lpattern,
+                                plans_[j]->lsplit_opts);
   }
 
  private:
@@ -758,43 +846,48 @@ class BatchedTreeMatchOp : public BatchedMatchOpBase {
   }
 
  protected:
-  void RunItem(ExecContext& ctx, const Datum& item, size_t worker,
-               std::vector<Result<Datum>>* out) override {
+  uint64_t Gate(ExecContext& ctx, const Datum& item, size_t worker) override {
+    if (!gate_enabled_) {
+      return plans_.size() >= 64 ? ~uint64_t{0}
+                                 : (uint64_t{1} << plans_.size()) - 1;
+    }
     const Tree& tree = item.tree();
     uint64_t seen = 0;
-    if (gate_enabled_) {
-      AlphabetScratch& scratch = scratch_->at(worker);
-      std::vector<NodeId> order = tree.Preorder();
-      size_t rows = 0;
-      constexpr size_t kChunk = 256;
-      for (size_t base = 0;
-           base < order.size() && (seen & needed_) != needed_;
-           base += kChunk) {
-        const size_t end = std::min(base + kChunk, order.size());
-        scratch.oids.clear();
-        for (size_t i = base; i < end; ++i) {
-          const NodePayload& p = tree.payload(order[i]);
-          if (p.is_cell()) scratch.oids.push_back(p.oid());
-        }
-        alphabet_.EvalBatch(ctx.view, scratch.oids.data(),
-                            scratch.oids.size(), &scratch);
-        rows += end - base;
-        for (size_t i = 0; i < scratch.oids.size(); ++i) {
-          seen |= scratch.sigs[i];  // stride 1: at most 64 slots
-        }
+    AlphabetScratch& scratch = scratch_->at(worker);
+    std::vector<NodeId> order = tree.Preorder();
+    size_t rows = 0;
+    constexpr size_t kChunk = 256;
+    for (size_t base = 0; base < order.size() && (seen & needed_) != needed_;
+         base += kChunk) {
+      const size_t end = std::min(base + kChunk, order.size());
+      scratch.oids.clear();
+      for (size_t i = base; i < end; ++i) {
+        const NodePayload& p = tree.payload(order[i]);
+        if (p.is_cell()) scratch.oids.push_back(p.oid());
       }
-      if (rows > 0) AQUA_OBS_COUNT("exec.batch_scan_rows", rows);
+      alphabet_.EvalBatch(ctx.view, scratch.oids.data(), scratch.oids.size(),
+                          &scratch);
+      rows += end - base;
+      for (size_t i = 0; i < scratch.oids.size(); ++i) {
+        seen |= scratch.sigs[i];  // stride 1: at most 64 slots
+      }
     }
+    if (rows > 0) AQUA_OBS_COUNT("exec.batch_scan_rows", rows);
+    // The clause is a disjunction over possible match roots: ruled out
+    // only when no node in the tree satisfied any of its predicates.
+    uint64_t run = 0;
     for (size_t j = 0; j < plans_.size(); ++j) {
-      // The clause is a disjunction over possible match roots: ruled out
-      // only when no node in the tree satisfied any of its predicates.
-      const bool ruled_out = gate_enabled_ && !clauses_[j].unconstrained &&
-                             (clauses_[j].mask & seen) == 0;
-      (*out)[j] = ruled_out
-                      ? Result<Datum>(Datum::Set({}))
-                      : TreeSubSelect(ctx.view, tree, plans_[j]->tpattern,
-                                      plans_[j]->split_opts);
+      if (clauses_[j].unconstrained || (clauses_[j].mask & seen) != 0) {
+        run |= uint64_t{1} << j;
+      }
     }
+    return run;
+  }
+
+  Result<Datum> RunMember(ExecContext& ctx, const Datum& item,
+                          size_t j) override {
+    return TreeSubSelect(ctx.view, item.tree(), plans_[j]->tpattern,
+                         plans_[j]->split_opts);
   }
 
  private:

@@ -175,9 +175,19 @@ Status RunMorsels(ThreadPool& pool, size_t n, const FanOutOptions& opts,
     }
   }
 
-  pool.EnsureWorkers(state->participants - 1);
+  // Queue the helpers before growing the pool, so the workers already
+  // running start at once, then grow one worker at a time and stop once
+  // the query is cancelled: a kill must not wait for thread creation,
+  // which takes milliseconds per thread under sanitizers. One worker is
+  // always there to consume the queued helpers.
   for (size_t slot = 1; slot < state->participants; ++slot) {
     pool.Submit([state, slot] { Drain(state, slot); });
+  }
+  for (size_t w = pool.workers(); w + 1 < state->participants; ++w) {
+    if (w > 0 && state->query != nullptr && state->query->cancel_requested()) {
+      break;
+    }
+    pool.EnsureWorkers(w + 1);
   }
   Drain(state, 0);
   {

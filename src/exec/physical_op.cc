@@ -24,6 +24,21 @@ size_t DatumCardinality(const Datum& d) {
   }
 }
 
+/// The fan-out setup every item loop and range split shares.
+FanOutOptions FanOutFor(ExecContext& ctx, size_t threads) {
+  FanOutOptions opts;
+  opts.threads = threads;
+  opts.trace = ctx.trace;
+  opts.morsels_run = &ctx.morsels_run;
+  opts.morsel_max_ns = &ctx.morsel_max_ns;
+  opts.query = ctx.query;
+  return opts;
+}
+
+ThreadPool& PoolFor(const ExecContext& ctx) {
+  return ctx.pool != nullptr ? *ctx.pool : ThreadPool::Shared();
+}
+
 }  // namespace
 
 size_t ApproxDatumBytes(const Datum& d) {
@@ -139,19 +154,42 @@ Status PhysicalOp::ForEachItem(
   if (!input.is_set()) return run_item(input, /*in_set=*/false, 0, 0);
 
   const std::vector<Datum>& items = input.children();
-  FanOutOptions opts;
-  opts.threads = loop.parallel ? ctx.threads : 1;
-  opts.trace = ctx.trace;
-  opts.morsels_run = &ctx.morsels_run;
-  opts.morsel_max_ns = &ctx.morsel_max_ns;
-  opts.query = ctx.query;
-  ThreadPool& pool = ctx.pool != nullptr ? *ctx.pool : ThreadPool::Shared();
-  return RunMorsels(pool, items.size(), opts, [&](const Morsel& m) -> Status {
-    for (size_t i = m.begin; i < m.end; ++i) {
-      AQUA_RETURN_IF_ERROR(run_item(items[i], /*in_set=*/true, i, m.worker));
-    }
-    return Status::OK();
-  });
+  return RunMorsels(PoolFor(ctx), items.size(),
+                    FanOutFor(ctx, loop.parallel ? ctx.threads : 1),
+                    [&](const Morsel& m) -> Status {
+                      for (size_t i = m.begin; i < m.end; ++i) {
+                        AQUA_RETURN_IF_ERROR(run_item(items[i],
+                                                      /*in_set=*/true, i,
+                                                      m.worker));
+                      }
+                      return Status::OK();
+                    });
+}
+
+std::vector<std::pair<size_t, size_t>> PhysicalOp::SplitRange(
+    const ExecContext& ctx, size_t n, const RangeLoop& loop) {
+  if (!loop.parallel || ctx.threads <= 1 || n < 2 * loop.min_per_range) {
+    return {{0, n}};
+  }
+  return PartitionMorsels(n, ctx.threads, loop.min_per_range);
+}
+
+Status PhysicalOp::ForEachRange(
+    ExecContext& ctx, const std::vector<std::pair<size_t, size_t>>& ranges,
+    FunctionRef<Status(size_t, size_t)> fn) {
+  if (ranges.size() <= 1) return ranges.empty() ? Status::OK() : fn(0, 0);
+  // At most 4 ranges per participant (PartitionMorsels), so each morsel
+  // claims one range.
+  return RunMorsels(PoolFor(ctx), ranges.size(), FanOutFor(ctx, ctx.threads),
+                    [&](const Morsel& m) -> Status {
+                      for (size_t r = m.begin; r < m.end; ++r) {
+                        if (ctx.query != nullptr) {
+                          AQUA_RETURN_IF_ERROR(ctx.query->CheckPoint());
+                        }
+                        AQUA_RETURN_IF_ERROR(fn(r, m.worker));
+                      }
+                      return Status::OK();
+                    });
 }
 
 namespace {

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/function_ref.h"
@@ -72,6 +73,17 @@ struct ItemLoop {
   /// group size for a batched group, so its count mirrors the work the
   /// group replaced.
   size_t evaluations = 1;
+};
+
+/// How `PhysicalOp::SplitRange` splits the inner work of one item (the
+/// begin positions of a list, the roots of a tree select, the members of a
+/// batched group) into contiguous ranges.
+struct RangeLoop {
+  /// Whether ranges may run on pool workers. Set only when the op's input
+  /// is a single item, so a split never nests inside a set fan-out.
+  bool parallel = false;
+  /// Fewest positions per range; fewer than two ranges' worth runs as one.
+  size_t min_per_range = 1;
 };
 
 /// One compiled operator of the physical execution pipeline.
@@ -159,6 +171,24 @@ class PhysicalOp {
   Status ForEachItem(
       ExecContext& ctx, const Datum& input, const ItemLoop& loop,
       FunctionRef<Status(const Datum&, size_t, size_t)> fn);
+
+  /// The contiguous ranges `ForEachRange` runs `[0, n)` as, in order: the
+  /// one range `[0, n)`, unless `loop.parallel`, `ExecContext::threads` > 1
+  /// and `n` holds two ranges of `loop.min_per_range`; then
+  /// `PartitionMorsels(n, threads, min_per_range)`.
+  static std::vector<std::pair<size_t, size_t>> SplitRange(
+      const ExecContext& ctx, size_t n, const RangeLoop& loop);
+
+  /// Runs `fn(range, worker)` once per range of `ranges` (from
+  /// `SplitRange`). One range runs inline on the calling thread as worker
+  /// 0, so the serial path is the same code. More run as morsels, set up as
+  /// `ForEachItem`'s (trace, morsel sinks, lifecycle context), with a
+  /// checkpoint per range; the lowest-indexed failing range's Status is
+  /// returned. Results merged in range order are therefore independent of
+  /// the thread count.
+  static Status ForEachRange(
+      ExecContext& ctx, const std::vector<std::pair<size_t, size_t>>& ranges,
+      FunctionRef<Status(size_t, size_t)> fn);
 
   /// Counts one index probe that returned `candidates` nodes.
   void CountProbe(size_t candidates) {

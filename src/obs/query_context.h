@@ -8,6 +8,7 @@
 #include <string>
 #include <string_view>
 
+#include "common/build.h"
 #include "common/status.h"
 
 namespace aqua::obs {
@@ -34,11 +35,13 @@ namespace aqua::obs {
 /// `kCancelled` / `kDeadlineExceeded` through the normal Status paths.
 class QueryContext {
  public:
-  /// Matcher inner loops call `CheckPoint` once per this many steps; one
-  /// check is a relaxed flag load plus a steady-clock read, so the stride
-  /// keeps the overhead invisible while bounding cancellation latency to
-  /// well under the 50 ms budget even on slow (sanitizer) builds.
-  static constexpr size_t kCheckStride = 512;
+  /// Matcher inner loops call `CheckPoint` once per this many steps (a
+  /// power of two); one check is a relaxed flag load plus a steady-clock
+  /// read. Fixed per build: 512 keeps the overhead invisible in optimized
+  /// builds; sanitizer and unoptimized builds (`kLargeStackFrames`) run a
+  /// step many times slower, so they check every 64 steps to keep
+  /// cancellation well under the 50 ms budget.
+  static constexpr size_t kCheckStride = kLargeStackFrames ? 64 : 512;
 
   /// Registry counters numbered below this (`Counter::slot()`, in creation
   /// order) are also counted per query; the rest are process totals only.

@@ -16,9 +16,10 @@ namespace {
 /// exit path (including step-budget errors).
 struct ListMatchFlush {
   const size_t* steps;
-  explicit ListMatchFlush(const size_t* s) : steps(s) {}
+  bool count_call;
+  ListMatchFlush(const size_t* s, bool call) : steps(s), count_call(call) {}
   ~ListMatchFlush() {
-    AQUA_OBS_COUNT("pattern.list_match_calls", 1);
+    if (count_call) AQUA_OBS_COUNT("pattern.list_match_calls", 1);
     if (*steps > 0) AQUA_OBS_COUNT("pattern.list_steps", *steps);
   }
 };
@@ -50,25 +51,35 @@ Status ListMatcher::ValidateListPattern(const ListPattern& p) {
 
 Result<std::vector<ListMatch>> ListMatcher::FindAll(
     const AnchoredListPattern& pattern, const ListMatchOptions& opts) {
-  std::vector<size_t> begins;
-  if (pattern.anchor_begin) {
-    begins.push_back(0);
-  } else {
-    begins.reserve(list_.size() + 1);
-    for (size_t i = 0; i <= list_.size(); ++i) begins.push_back(i);
-  }
-  return FindAllAtBegins(pattern, begins, opts);
+  return FindAllInRange(pattern, 0, list_.size() + 1, opts);
+}
+
+Result<std::vector<ListMatch>> ListMatcher::FindAllInRange(
+    const AnchoredListPattern& pattern, size_t first, size_t last,
+    const ListMatchOptions& opts) {
+  last = std::min(last, list_.size() + 1);
+  if (pattern.anchor_begin) last = std::min<size_t>(last, 1);
+  first = std::min(first, last);
+  return Enumerate(pattern, nullptr, first, last, opts,
+                   /*count_call=*/first == 0);
 }
 
 Result<std::vector<ListMatch>> ListMatcher::FindAllAtBegins(
     const AnchoredListPattern& pattern, const std::vector<size_t>& begins,
     const ListMatchOptions& opts) {
+  return Enumerate(pattern, begins.data(), 0, begins.size(), opts,
+                   /*count_call=*/true);
+}
+
+Result<std::vector<ListMatch>> ListMatcher::Enumerate(
+    const AnchoredListPattern& pattern, const size_t* begins, size_t lo,
+    size_t hi, const ListMatchOptions& opts, bool count_call) {
   if (pattern.body == nullptr) {
     return Status::InvalidArgument("null list pattern");
   }
   AQUA_RETURN_IF_ERROR(ValidateListPattern(*pattern.body));
   steps_ = 0;
-  ListMatchFlush flush(&steps_);
+  ListMatchFlush flush(&steps_, count_call);
 
   std::vector<ListMatch> out;
   std::vector<size_t> prune_stack;
@@ -126,7 +137,8 @@ Result<std::vector<ListMatch>> ListMatcher::FindAllAtBegins(
   size_t depth = 0;
   RegexEngine<decltype(atom)> engine(atom, kMaxDepth, depth);
 
-  for (size_t begin : begins) {
+  for (size_t k = lo; k < hi; ++k) {
+    const size_t begin = begins != nullptr ? begins[k] : k;
     if (hit_limit || over_budget || engine.too_deep() || !cancel.ok()) break;
     if (begin > list_.size()) {
       return Status::OutOfRange("begin position beyond list end");

@@ -93,6 +93,18 @@ class ListMatcher {
       const AnchoredListPattern& pattern, const std::vector<size_t>& begins,
       const ListMatchOptions& opts = {});
 
+  /// Enumerates matches beginning in `[first, last)`, clamped to the
+  /// list's `size() + 1` begin positions, ordered like `FindAll`: the morsel
+  /// entry point of a list sub_select split into begin ranges. Without
+  /// `max_matches` and `max_steps` (both budgets count per call) the
+  /// matches of consecutive ranges concatenate to `FindAll`'s answer and
+  /// their steps sum to its steps. Only the range starting at 0 counts a
+  /// `pattern.list_match_calls`, so a split list counts one call, as an
+  /// unsplit one does.
+  Result<std::vector<ListMatch>> FindAllInRange(
+      const AnchoredListPattern& pattern, size_t first, size_t last,
+      const ListMatchOptions& opts = {});
+
   /// True when the entire list is in the pattern's language.
   Result<bool> MatchesWhole(const ListPatternRef& body);
 
@@ -103,6 +115,13 @@ class ListMatcher {
   static Status ValidateListPattern(const ListPattern& p);
 
  private:
+  /// The one enumeration loop: begins `begins[lo..hi)`, or the positions
+  /// `lo..hi` themselves when `begins` is null.
+  Result<std::vector<ListMatch>> Enumerate(const AnchoredListPattern& pattern,
+                                           const size_t* begins, size_t lo,
+                                           size_t hi,
+                                           const ListMatchOptions& opts,
+                                           bool count_call);
 
   StoreView store_;
   const List& list_;

@@ -1,26 +1,11 @@
 #ifndef AQUA_PATTERN_REGEX_ENGINE_H_
 #define AQUA_PATTERN_REGEX_ENGINE_H_
 
+#include "common/build.h"
 #include "common/function_ref.h"
 #include "pattern/list_pattern.h"
 
 namespace aqua {
-
-/// True in builds whose stack frames run large (sanitizers, no optimizer).
-/// The matchers' depth limits (`ListMatcher::kMaxDepth`,
-/// `TreeMatcher::kMaxDepth`) are fixed per build from it.
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__) || \
-    !defined(__OPTIMIZE__)
-inline constexpr bool kLargeStackFrames = true;
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-inline constexpr bool kLargeStackFrames = true;
-#else
-inline constexpr bool kLargeStackFrames = false;
-#endif
-#else
-inline constexpr bool kLargeStackFrames = false;
-#endif
 
 /// Continuation invoked with the position reached after a (partial) match.
 /// Non-owning: a continuation is only ever invoked during the call that

@@ -43,6 +43,7 @@ Result<Datum> Executor::RunUnit(const exec::PhysicalOpRef& root,
                                 std::span<const PlanRef> plans) {
   stats_ = ExecStats{};
   op_samples_.clear();
+  batch_members_.clear();
   trace_.Clear();
   last_counters_.reset();
 
@@ -156,6 +157,15 @@ Result<Datum> Executor::RunUnit(const exec::PhysicalOpRef& root,
     StatusCode code = result.ok() && batch != nullptr
                           ? batch->plan_results()[j].status().code()
                           : result.status().code();
+    if (batch != nullptr) {
+      BatchedMember m{plans[j]};
+      const Result<Datum>& r = batch->plan_results()[j];
+      if (result.ok() && r.ok()) {
+        m.out_rows = r->size();
+        m.out_bytes = exec::ApproxDatumBytes(*r);
+      }
+      batch_members_.push_back(std::move(m));
+    }
     obs::StatsWarehouse::Global().Record(
         fingerprints[j], normalized[j], wall_ns / plans.size(),
         qctx.mem_peak_bytes(), code, store_commit,
@@ -312,10 +322,25 @@ void CollectEstimates(const CostModel& model, const PlanRef& node,
   }
 }
 
+/// Gives every node of `member` the figures of its counterpart in `lead`
+/// (two structurally equal subplans; the group ran only the lead's).
+void AliasSamples(const PlanRef& lead, const PlanRef& member,
+                  std::map<const PlanNode*, obs::OpSample>* ops) {
+  if (lead == nullptr || member == nullptr || lead == member) return;
+  auto it = ops->find(lead.get());
+  if (it != ops->end()) (*ops)[member.get()] = it->second;
+  for (size_t i = 0;
+       i < lead->children.size() && i < member->children.size(); ++i) {
+    AliasSamples(lead->children[i], member->children[i], ops);
+  }
+}
+
+/// `batched` (may be empty) prefixes the root's figures, e.g. "batched 2/8, ".
 void RenderAnalyzed(const PlanRef& node,
                     const std::map<const PlanNode*, obs::OpSample>& ops,
                     const std::map<const PlanNode*, double>& ests,
-                    size_t indent, std::string* out) {
+                    const std::string& batched, size_t indent,
+                    std::string* out) {
   out->append(indent * 2, ' ');
   if (node == nullptr) {
     *out += "(null)\n";
@@ -326,8 +351,9 @@ void RenderAnalyzed(const PlanRef& node,
   if (it != ops.end()) {
     const obs::OpSample& op = it->second;
     char buf[144];
+    *out += "  (" + batched;
     std::snprintf(buf, sizeof(buf),
-                  "  (%" PRIu64 " call%s, %.3f ms, out=%" PRIu64
+                  "%" PRIu64 " call%s, %.3f ms, out=%" PRIu64
                   ", cpu=%.3f ms, bytes~%" PRIu64,
                   op.calls, op.calls == 1 ? "" : "s", op.wall_ns / 1e6,
                   op.out_rows, op.cpu_ns / 1e6, op.out_bytes);
@@ -349,7 +375,7 @@ void RenderAnalyzed(const PlanRef& node,
   }
   *out += "\n";
   for (const PlanRef& child : node->children) {
-    RenderAnalyzed(child, ops, ests, indent + 1, out);
+    RenderAnalyzed(child, ops, ests, "", indent + 1, out);
   }
 }
 
@@ -377,8 +403,23 @@ std::string Executor::ExplainAnalyze(const PlanRef& plan) const {
     sum.out_bytes += s.out_bytes;
     sum.out_rows = s.out_rows;
   }
+  // A group member: the group op (compiled from the lead plan) stands for
+  // its root, with the member's own output; its input is the lead's.
+  std::string batched;
+  for (size_t j = 0; j < batch_members_.size(); ++j) {
+    const BatchedMember& m = batch_members_[j];
+    if (m.plan != plan) continue;
+    const PlanRef& lead = batch_members_[0].plan;
+    AliasSamples(lead, plan, &ops);
+    obs::OpSample& root = ops[plan.get()];
+    root.out_rows = m.out_rows;
+    root.out_bytes = m.out_bytes;
+    batched = "batched " + std::to_string(j + 1) + "/" +
+              std::to_string(batch_members_.size()) + ", ";
+    break;
+  }
   std::string out;
-  RenderAnalyzed(plan, ops, ests, 0, &out);
+  RenderAnalyzed(plan, ops, ests, batched, 0, &out);
   return out;
 }
 

@@ -137,6 +137,11 @@ class Executor {
   ///
   /// Estimates come from the stats-informed cost model (the global
   /// `StatsWarehouse`), so a warmed process shows shrinking Q-errors.
+  ///
+  /// After a batched group, every member plan renders: its root is marked
+  /// `batched j/n` and carries the group operator's call, time and CPU
+  /// (one scan answered all members) with the member's own result size;
+  /// its input is the group's one shared input.
   std::string ExplainAnalyze(const PlanRef& plan) const;
 
  private:
@@ -170,6 +175,14 @@ class Executor {
   /// The last unit's per-op records: `stats_` sums them, ExplainAnalyze
   /// renders them.
   std::vector<obs::OpSample> op_samples_;
+  /// The last unit's member plans when it was a batched group (empty
+  /// otherwise), each with its own result's size (0 when it failed).
+  struct BatchedMember {
+    PlanRef plan;
+    uint64_t out_rows = 0;
+    uint64_t out_bytes = 0;
+  };
+  std::vector<BatchedMember> batch_members_;
   obs::Trace trace_;
   obs::QueryContext::CounterValues last_query_counters_{};
   mutable std::optional<obs::Snapshot> last_counters_;  // built on demand

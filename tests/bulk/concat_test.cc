@@ -48,6 +48,29 @@ TEST_F(ConcatTest, CloseAllPointsTree) {
   EXPECT_EQ(Str(CloseAllPoints(T("a(b)"))), "a(b)");
 }
 
+TEST_F(ConcatTest, CloseAllPointsTreeMatchesClosingEachLabel) {
+  // Repeated labels, points at several depths and a point at the root:
+  // the one-pass close equals closing every label with nil in turn, node
+  // numbering included.
+  for (const char* lit :
+       {"a(@1 b(@2 @1) @1 c(d(@3) @2))", "a(@x)", "a(b c)", "@r",
+        "a(b(c(@1)) @1 d(@2 e))"}) {
+    Tree t = T(lit);
+    Tree want = t;
+    for (const std::string& label : t.PointLabels()) {
+      want = ConcatNilAt(want, label);
+    }
+    Tree got = CloseAllPoints(t);
+    EXPECT_EQ(Str(got), Str(want)) << lit;
+    EXPECT_EQ(got.size(), want.size()) << lit;
+    EXPECT_EQ(got.root(), want.root()) << lit;
+    EXPECT_TRUE(got.StructurallyEquals(want)) << lit;
+    EXPECT_OK(got.Validate());
+  }
+  EXPECT_TRUE(CloseAllPoints(T("@r")).empty());
+  EXPECT_EQ(Str(CloseAllPoints(T("a(@1 b(@2 @1) @1)"))), "a(b)");
+}
+
 TEST_F(ConcatTest, ConcatAtRootPoint) {
   EXPECT_EQ(Str(ConcatAt(T("@r"), "r", T("a(b)"))), "a(b)");
 }

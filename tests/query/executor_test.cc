@@ -290,6 +290,37 @@ TEST_F(ExecutorTest, ExplainAnalyzeShowsEstimateActualAndQError) {
       << analyzed;
 }
 
+TEST_F(ExecutorTest, ExplainAnalyzeRendersEveryBatchedMember) {
+  // After a batched group, each member renders with its own result size
+  // and a batched mark, not the group operator's placeholder output, and
+  // the second member is executed too (its input is the shared scan).
+  Executor exec(&db_);
+  auto first = Q::TreeSubSelect(Q::ScanTree("t"), TP("b(d ?)"));
+  auto second = Q::TreeSubSelect(Q::ScanTree("t"), TP("x"));
+  std::vector<Result<Datum>> out = exec.ExecuteBatch({first, second});
+  ASSERT_OK(out[0]);
+  ASSERT_OK(out[1]);
+  ASSERT_EQ(out[0]->size(), 2u);
+  ASSERT_EQ(out[1]->size(), 1u);
+  const std::string a = exec.ExplainAnalyze(first);
+  const std::string b = exec.ExplainAnalyze(second);
+  EXPECT_NE(a.find("(batched 1/2, 1 call, "), std::string::npos) << a;
+  EXPECT_NE(a.find("out=2, "), std::string::npos) << a;
+  EXPECT_NE(a.find("act=2, "), std::string::npos) << a;
+  EXPECT_NE(b.find("(batched 2/2, 1 call, "), std::string::npos) << b;
+  EXPECT_NE(b.find("out=1, "), std::string::npos) << b;
+  EXPECT_EQ(b.find("not executed"), std::string::npos) << b;
+  // Both render the one shared scan of the 8-node tree.
+  for (const std::string& text : {a, b}) {
+    EXPECT_NE(text.find("ScanTree [t]  (1 call, "), std::string::npos)
+        << text;
+    EXPECT_NE(text.find("out=8, "), std::string::npos) << text;
+  }
+  // A plain Execute afterwards renders unbatched again.
+  ASSERT_OK(exec.Execute(second).status());
+  EXPECT_EQ(exec.ExplainAnalyze(second).find("batched"), std::string::npos);
+}
+
 TEST_F(ExecutorTest, ExecuteHarvestsPerOpRowsIntoStatsWarehouse) {
   obs::StatsWarehouse& wh = obs::StatsWarehouse::Global();
   wh.Reset();
