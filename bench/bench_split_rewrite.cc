@@ -174,9 +174,9 @@ std::unique_ptr<AnchoredWorkload> MakeAnchoredWorkload(size_t nodes) {
 }
 
 /// Args: tree size, then 1 = metrics registry on (the default) or 0 = off
-/// at runtime. Off drops the executor epilogue's store gauges, whose
-/// `store.retained_bytes` walks every chunk of the store (ROADMAP,
-/// instrumentation budget), leaving the query path alone.
+/// at runtime. Off drops the executor epilogue's metric writes, leaving
+/// the query path alone; the two should stay within a constant of each
+/// other at every tree size (none of the epilogue's work walks the store).
 void BM_AnchoredExecute_TreeSize(benchmark::State& state) {
   auto w = MakeAnchoredWorkload(static_cast<size_t>(state.range(0)));
   const bool obs_on = state.range(1) != 0;

@@ -14,6 +14,9 @@ ThreadPool::~ThreadPool() {
   {
     MutexLock lock(mu_);
     stop_ = true;
+    // A thread still being created is published before we take the list,
+    // so it is joined too (it sees stop_ and exits at once).
+    while (starting_ > 0) cv_.Wait(mu_);
     joined.swap(threads_);
   }
   cv_.NotifyAll();
@@ -48,9 +51,25 @@ size_t ThreadPool::pending() const {
 }
 
 void ThreadPool::EnsureWorkers(size_t n) {
-  MutexLock lock(mu_);
-  while (threads_.size() < n) {
-    threads_.emplace_back([this] { WorkerLoop(); });
+  // Threads are created outside the lock, at up to milliseconds each under
+  // sanitizers, so Submit and the workers' dequeues never wait on a
+  // creation. `starting_` reserves each slot, so concurrent callers do not
+  // overshoot `n`.
+  for (;;) {
+    {
+      MutexLock lock(mu_);
+      if (threads_.size() + starting_ >= n) return;
+      ++starting_;
+    }
+    std::thread t([this] { WorkerLoop(); });
+    bool stopping = false;
+    {
+      MutexLock lock(mu_);
+      threads_.push_back(std::move(t));
+      --starting_;
+      stopping = stop_;
+    }
+    if (stopping) cv_.NotifyAll();  // the destructor waits on starting_
   }
 }
 

@@ -60,6 +60,8 @@ class ThreadPool {
   CondVar cv_;
   std::deque<std::function<void()>> queue_ AQUA_GUARDED_BY(mu_);
   std::vector<std::thread> threads_ AQUA_GUARDED_BY(mu_);
+  // Threads being created by EnsureWorkers, not yet in threads_.
+  size_t starting_ AQUA_GUARDED_BY(mu_) = 0;
   bool stop_ AQUA_GUARDED_BY(mu_) = false;
 };
 

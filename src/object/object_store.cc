@@ -1,7 +1,7 @@
 #include "object/object_store.h"
 
+#include <algorithm>
 #include <atomic>
-#include <unordered_set>
 
 namespace aqua {
 
@@ -44,6 +44,18 @@ bool SoleReference(const std::shared_ptr<T>& ref) {
   return true;
 }
 
+size_t ApproxChunkBytes(const StoreChunk& chunk) {
+  size_t bytes = sizeof(StoreChunk) + chunk.objects.capacity() * sizeof(Object);
+  for (const Object& obj : chunk.objects) {
+    bytes += obj.attrs().capacity() * sizeof(Value);
+  }
+  return bytes;
+}
+
+size_t ExtentBytes(const std::vector<Oid>& extent) {
+  return sizeof(std::vector<Oid>) + extent.capacity() * sizeof(Oid);
+}
+
 }  // namespace
 
 void ObjectStore::BeginMutation() {
@@ -62,10 +74,12 @@ StoreChunk* ObjectStore::WritableChunk(size_t index) {
   // Shared means a live version still references this chunk. A racing
   // reader dropping its pin at worst makes us clone once more than needed.
   if (!SoleReference(slot)) {
+    SupersedeLocked(chunk_since_[index], ApproxChunkBytes(*slot));
     auto clone = std::make_shared<StoreChunk>();
     clone->objects.insert(clone->objects.end(), slot->objects.begin(),
                           slot->objects.end());
     slot = std::move(clone);
+    chunk_since_[index] = epoch_;
     ++cow_copies_;
   }
   return slot.get();
@@ -77,6 +91,7 @@ Oid ObjectStore::AppendValidated(TypeId type, std::vector<Value> attrs) {
   size_t chunk_index = index >> kStoreChunkShift;
   if (chunk_index == chunks_.size()) {
     chunks_.push_back(std::make_shared<StoreChunk>());
+    chunk_since_.push_back(epoch_);
   }
   // Appends also copy-on-write: pushing into a snapshot-shared chunk would
   // race with readers on the vector size.
@@ -84,12 +99,18 @@ Oid ObjectStore::AppendValidated(TypeId type, std::vector<Value> attrs) {
       ->objects.emplace_back(oid, type, std::move(attrs));
   ++num_objects_;
 
-  if (extents_.size() <= type) extents_.resize(type + 1);
+  if (extents_.size() <= type) {
+    extents_.resize(type + 1);
+    extent_since_.resize(type + 1);
+  }
   std::shared_ptr<std::vector<Oid>>& extent = extents_[type];
   if (extent == nullptr) {
     extent = std::make_shared<std::vector<Oid>>();
+    extent_since_[type] = epoch_;
   } else if (!SoleReference(extent)) {
+    SupersedeLocked(extent_since_[type], ExtentBytes(*extent));
     extent = std::make_shared<std::vector<Oid>>(*extent);
+    extent_since_[type] = epoch_;
     ++cow_copies_;
   }
   extent->push_back(oid);
@@ -140,21 +161,51 @@ std::shared_ptr<const StoreVersion> ObjectStore::SnapshotLocked() const {
     version->chunks.assign(chunks_.begin(), chunks_.end());
     version->extents.assign(extents_.begin(), extents_.end());
     head_version_ = version;
-    retained_.push_back(version);
-    PruneRetainedLocked();
+    retained_.push_back({epoch_, version});
+    PruneLocked();
   }
   return head_version_;
 }
 
-void ObjectStore::PruneRetainedLocked() const {
+void ObjectStore::SupersedeLocked(uint64_t since, size_t bytes) {
+  // Versions of the current epoch are only taken after this mutation, so
+  // data that entered the head in this epoch was never in a version. The
+  // skip also bounds the ledger between prunes (each new snapshot prunes):
+  // a head slot adds at most one entry per epoch.
+  if (since == epoch_) return;
+  superseded_.push_back({since, epoch_, bytes});
+}
+
+StoreLevels ObjectStore::PruneLocked() const {
+  StoreLevels levels;
+  levels.epoch = epoch_;
+  levels.cow_copies = cow_copies_;
+  const uint64_t head_epoch =
+      head_version_ != nullptr ? head_version_->epoch : 0;
   size_t kept = 0;
   for (size_t i = 0; i < retained_.size(); ++i) {
-    if (retained_[i].expired()) continue;
+    long count = retained_[i].version.use_count();
+    if (count == 0) continue;
+    if (retained_[i].epoch == head_epoch) --count;  // the store's own cache
+    levels.snapshot_pins += static_cast<size_t>(count);
     // Guard the self-assignment: moving a weak_ptr onto itself empties it.
     if (kept != i) retained_[kept] = std::move(retained_[i]);
     ++kept;
   }
   retained_.resize(kept);
+  levels.versions_live = kept;
+
+  kept = 0;
+  for (const Superseded& entry : superseded_) {
+    auto live = std::lower_bound(
+        retained_.begin(), retained_.end(), entry.since,
+        [](const RetainedVersion& v, uint64_t e) { return v.epoch < e; });
+    if (live == retained_.end() || live->epoch >= entry.until) continue;
+    levels.retained_bytes += entry.bytes;
+    superseded_[kept++] = entry;
+  }
+  superseded_.resize(kept);
+  return levels;
 }
 
 // ---------------------------------------------------------------------------
@@ -290,72 +341,27 @@ Result<std::vector<std::vector<Oid>>> ObjectStore::CommitBatch(
 // ---------------------------------------------------------------------------
 // Introspection
 
+StoreLevels ObjectStore::Levels() const {
+  MutexLock lock(mu_);
+  return PruneLocked();
+}
+
 uint64_t ObjectStore::epoch() const {
   MutexLock lock(mu_);
   return epoch_;
 }
 
-size_t ObjectStore::versions_live() const {
-  MutexLock lock(mu_);
-  PruneRetainedLocked();
-  return retained_.size();
-}
-
-size_t ObjectStore::snapshot_pins() const {
-  MutexLock lock(mu_);
-  size_t pins = 0;
-  for (const std::weak_ptr<const StoreVersion>& weak : retained_) {
-    std::shared_ptr<const StoreVersion> version = weak.lock();
-    if (version == nullptr) continue;
-    long count = version.use_count() - 1;  // minus this local handle
-    if (version == head_version_) --count;  // minus the store's own cache
-    if (count > 0) pins += static_cast<size_t>(count);
-  }
-  return pins;
-}
+size_t ObjectStore::versions_live() const { return Levels().versions_live; }
 
 uint64_t ObjectStore::cow_copies() const {
   MutexLock lock(mu_);
   return cow_copies_;
 }
 
-namespace {
-
-size_t ApproxChunkBytes(const StoreChunk& chunk) {
-  size_t bytes = sizeof(StoreChunk) + chunk.objects.capacity() * sizeof(Object);
-  for (const Object& obj : chunk.objects) {
-    bytes += obj.attrs().capacity() * sizeof(Value);
-  }
-  return bytes;
-}
-
-}  // namespace
+size_t ObjectStore::snapshot_pins() const { return Levels().snapshot_pins; }
 
 size_t ObjectStore::retained_bytes() const {
-  MutexLock lock(mu_);
-  // Superseded data only: chunks/extents referenced by a live version that
-  // the head no longer uses (data the head still shares costs nothing
-  // extra to retain).
-  std::unordered_set<const void*> head;
-  for (const auto& chunk : chunks_) head.insert(chunk.get());
-  for (const auto& extent : extents_) head.insert(extent.get());
-  std::unordered_set<const void*> counted;
-  size_t bytes = 0;
-  for (const std::weak_ptr<const StoreVersion>& weak : retained_) {
-    std::shared_ptr<const StoreVersion> version = weak.lock();
-    if (version == nullptr) continue;
-    for (const auto& chunk : version->chunks) {
-      if (head.count(chunk.get()) != 0) continue;
-      if (!counted.insert(chunk.get()).second) continue;
-      bytes += ApproxChunkBytes(*chunk);
-    }
-    for (const auto& extent : version->extents) {
-      if (extent == nullptr || head.count(extent.get()) != 0) continue;
-      if (!counted.insert(extent.get()).second) continue;
-      bytes += sizeof(std::vector<Oid>) + extent->capacity() * sizeof(Oid);
-    }
-  }
-  return bytes;
+  return Levels().retained_bytes;
 }
 
 }  // namespace aqua

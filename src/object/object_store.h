@@ -25,6 +25,25 @@ struct AttrValue {
   Value value;
 };
 
+/// The versioning levels of an `ObjectStore` (obs gauges, `\snapshot`).
+struct StoreLevels {
+  /// Epoch of the head version; bumped on the first mutation after each
+  /// snapshot, so one batch commit is one epoch.
+  uint64_t epoch = 0;
+  /// Number of distinct `StoreVersion`s currently alive (head cache
+  /// included).
+  size_t versions_live = 0;
+  /// Total chunks/extents cloned because a live snapshot pinned them.
+  uint64_t cow_copies = 0;
+  /// Number of `StoreView`s (and other version handles) held outside the
+  /// store across all live versions.
+  size_t snapshot_pins = 0;
+  /// Approximate bytes of superseded data kept alive only because a live
+  /// snapshot still references it. Costs O(live versions + superseded
+  /// chunks/extents still pinned), independent of the store's size.
+  size_t retained_bytes = 0;
+};
+
 /// Type-checks `*value` against `def` (int widens to double, null passes).
 /// Shared by the head write path and `DeltaTxn`'s eager validation, so a
 /// delta that validated cleanly cannot fail at commit time.
@@ -123,19 +142,14 @@ class ObjectStore {
   // ---------------------------------------------------------------------
   // Introspection (obs gauges, \snapshot shell command)
 
-  /// Epoch of the head version; bumped on the first mutation after each
-  /// snapshot, so one batch commit is one epoch.
+  /// All five levels under one lock (the executor epilogue's gauges).
+  StoreLevels Levels() const AQUA_EXCLUDES(mu_);
+
+  // Single-level accessors, each one lock.
   uint64_t epoch() const AQUA_EXCLUDES(mu_);
-  /// Number of distinct `StoreVersion`s currently alive (head cache
-  /// included).
   size_t versions_live() const AQUA_EXCLUDES(mu_);
-  /// Total chunks/extents cloned because a live snapshot pinned them.
   uint64_t cow_copies() const AQUA_EXCLUDES(mu_);
-  /// Number of `StoreView`s (and other version handles) held outside the
-  /// store across all live versions.
   size_t snapshot_pins() const AQUA_EXCLUDES(mu_);
-  /// Approximate bytes of superseded data kept alive only because a live
-  /// snapshot still references it.
   size_t retained_bytes() const AQUA_EXCLUDES(mu_);
 
  private:
@@ -157,7 +171,12 @@ class ObjectStore {
   Result<const Object*> GetLocked(Oid oid) const AQUA_REQUIRES(mu_);
   std::shared_ptr<const StoreVersion> SnapshotLocked() const
       AQUA_REQUIRES(mu_);
-  void PruneRetainedLocked() const AQUA_REQUIRES(mu_);
+  // Records in the ledger `bytes` of head data, in the head since epoch
+  // `since`, that a clone is about to replace.
+  void SupersedeLocked(uint64_t since, size_t bytes) AQUA_REQUIRES(mu_);
+  // Drops dead versions from `retained_` and ledger entries no live
+  // version references, and returns the levels.
+  StoreLevels PruneLocked() const AQUA_REQUIRES(mu_);
 
   Schema schema_;
 
@@ -167,15 +186,36 @@ class ObjectStore {
   std::vector<std::shared_ptr<StoreChunk>> chunks_ AQUA_GUARDED_BY(mu_);
   std::vector<std::shared_ptr<std::vector<Oid>>> extents_
       AQUA_GUARDED_BY(mu_);  // indexed by TypeId
+  // Epoch in which each head chunk/extent entered the head (its creation
+  // or clone); parallel to `chunks_` and `extents_`.
+  std::vector<uint64_t> chunk_since_ AQUA_GUARDED_BY(mu_);
+  std::vector<uint64_t> extent_since_ AQUA_GUARDED_BY(mu_);
   uint64_t cow_copies_ AQUA_GUARDED_BY(mu_) = 0;
   // Cached version of the unchanged head; also what keeps "the snapshot
   // you just took" alive between queries.
   mutable std::shared_ptr<const StoreVersion> head_version_
       AQUA_GUARDED_BY(mu_);
-  // Every version ever handed out, weakly: reclamation is automatic (the
-  // last StoreView drop frees the version), this list only observes it.
-  mutable std::vector<std::weak_ptr<const StoreVersion>> retained_
-      AQUA_GUARDED_BY(mu_);
+  // Every version ever handed out, weakly and in epoch order: reclamation
+  // is automatic (the last StoreView drop frees the version), this list
+  // only observes it. A version is snapshotted after every mutation of its
+  // epoch, and the next mutation opens a new epoch, so the version of
+  // epoch e holds exactly the data the head had at the end of epoch e.
+  struct RetainedVersion {
+    uint64_t epoch;
+    std::weak_ptr<const StoreVersion> version;
+  };
+  mutable std::vector<RetainedVersion> retained_ AQUA_GUARDED_BY(mu_);
+  // The retained-bytes ledger: one entry per chunk/extent the head
+  // replaced by a clone. Data the head had at the end of epochs
+  // [since, until) is referenced by exactly the versions of those
+  // epochs, so an entry is retained while one of them lives and is
+  // dropped for good once none does (later versions have later epochs).
+  struct Superseded {
+    uint64_t since;
+    uint64_t until;
+    size_t bytes;
+  };
+  mutable std::vector<Superseded> superseded_ AQUA_GUARDED_BY(mu_);
 };
 
 }  // namespace aqua

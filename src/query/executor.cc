@@ -132,13 +132,13 @@ Result<Datum> Executor::RunUnit(const exec::PhysicalOpRef& root,
   // Store-version levels after this unit (OpenMetrics `\metrics`,
   // `\snapshot`): the epoch, how many versions and pins are alive, and the
   // COW bytes kept only for snapshots.
-  const ObjectStore& store = db_->store();
-  bool store_commit = store.epoch() != epoch_before;
-  AQUA_OBS_GAUGE_SET("store.epoch", store.epoch());
-  AQUA_OBS_GAUGE_SET("store.versions_live", store.versions_live());
-  AQUA_OBS_GAUGE_SET("store.cow_copies", store.cow_copies());
-  AQUA_OBS_GAUGE_SET("store.snapshot_pins", store.snapshot_pins());
-  AQUA_OBS_GAUGE_SET("store.retained_bytes", store.retained_bytes());
+  const StoreLevels levels = db_->store().Levels();
+  bool store_commit = levels.epoch != epoch_before;
+  AQUA_OBS_GAUGE_SET("store.epoch", levels.epoch);
+  AQUA_OBS_GAUGE_SET("store.versions_live", levels.versions_live);
+  AQUA_OBS_GAUGE_SET("store.cow_copies", levels.cow_copies);
+  AQUA_OBS_GAUGE_SET("store.snapshot_pins", levels.snapshot_pins);
+  AQUA_OBS_GAUGE_SET("store.retained_bytes", levels.retained_bytes);
   last_query_counters_ = qctx.counters();
 
   // Plan catalogue, one row per member plan: this run's latency and

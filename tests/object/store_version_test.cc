@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <random>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -211,6 +213,162 @@ TEST_F(StoreVersionTest, VersionAccountingAndReclamation) {
   EXPECT_LE(store_.versions_live(), 1u);
   EXPECT_EQ(store_.snapshot_pins(), 0u);
   EXPECT_EQ(store_.retained_bytes(), 0u);
+}
+
+// The full walk `retained_bytes()` used to make, kept as the reference:
+// the bytes of every chunk and extent a held view references and the head
+// does not, each counted once. It reads the head through raw object
+// pointers and transient extent handles, so it pins nothing and leaves
+// the store's epochs as they were.
+size_t FullWalkRetainedBytes(const ObjectStore& store,
+                             const std::vector<TypeId>& types,
+                             const std::vector<StoreView>& views) {
+  std::set<const void*> head;
+  for (uint64_t first = 1; first <= store.num_objects();
+       first += kStoreChunkSize) {
+    auto obj = store.Get(Oid(first));  // a chunk's first object names it
+    EXPECT_TRUE(obj.ok());
+    head.insert(*obj);
+  }
+  std::vector<ExtentRef> head_extents;
+  for (TypeId type : types) {
+    auto extent = store.Extent(type);
+    EXPECT_TRUE(extent.ok());
+    head_extents.push_back(*extent);
+    head.insert(extent->get());
+  }
+  std::set<const void*> counted;
+  size_t bytes = 0;
+  for (const StoreView& view : views) {
+    for (const auto& chunk : view.version()->chunks) {
+      if (head.count(chunk->objects.data()) != 0) continue;
+      if (!counted.insert(chunk.get()).second) continue;
+      bytes += sizeof(StoreChunk) + chunk->objects.capacity() * sizeof(Object);
+      for (const Object& obj : chunk->objects) {
+        bytes += obj.attrs().capacity() * sizeof(Value);
+      }
+    }
+    for (const ExtentRef& extent : view.version()->extents) {
+      if (extent == nullptr || head.count(extent.get()) != 0) continue;
+      if (!counted.insert(extent.get()).second) continue;
+      bytes += sizeof(std::vector<Oid>) + extent->capacity() * sizeof(Oid);
+    }
+  }
+  return bytes;
+}
+
+// Seeded random writes, delta commits, snapshot pins and pin drops; after
+// every step the superseded-data ledger must read exactly what the full
+// walk reads. Bare extent handles (from the head or from a dropped view)
+// pin an oid list but no version, so neither side counts them.
+TEST_F(StoreVersionTest, RetainedBytesMatchesFullWalkUnderRandomSteps) {
+  auto tag = store_.schema().RegisterType("Tag",
+                                          {{"label", ValueType::kInt, true}});
+  ASSERT_TRUE(tag.ok());
+  const std::vector<TypeId> types = {person_, *tag};
+  for (int i = 0; i < 600; ++i) MustCreate("p", i);  // three chunks
+
+  for (uint64_t seed : {2301u, 2302u, 2303u, 2304u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    std::mt19937_64 rng(seed);
+    auto pick = [&rng](size_t n) {
+      return std::uniform_int_distribution<size_t>(0, n - 1)(rng);
+    };
+    auto random_oid = [&] { return Oid(1 + pick(store_.num_objects())); };
+    // The int attribute each type has: Person's "age", Tag's "label".
+    auto int_attr = [&](Oid oid) -> std::string {
+      return (*store_.Get(oid))->type() == person_ ? "age" : "label";
+    };
+    auto create = [&] {
+      if (pick(3) == 0) {
+        ASSERT_TRUE(store_.Create(*tag, {Value::Int(7)}).ok());
+      } else {
+        MustCreate("q", 1);
+      }
+    };
+    auto set_int = [&] {
+      Oid oid = random_oid();
+      ASSERT_TRUE(store_
+                      .SetAttr(oid, int_attr(oid),
+                               Value::Int(static_cast<int64_t>(pick(100))))
+                      .ok());
+    };
+    std::vector<StoreView> views;
+    std::vector<ExtentRef> extents;
+    size_t retaining_steps = 0;
+    for (int step = 0; step < 400; ++step) {
+      switch (pick(10)) {
+        case 0:
+        case 1:
+          create();
+          break;
+        case 2:
+          set_int();
+          break;
+        case 3: {  // a write through a head handle
+          auto obj = store_.GetMutable(random_oid());
+          ASSERT_TRUE(obj.ok());
+          (*obj)->set_attr_at((*obj)->type() == person_ ? 1 : 0,
+                              Value::Int(-1));
+          break;
+        }
+        case 4: {  // a delta commit against a fresh snapshot
+          DeltaTxn txn(store_.Snapshot());
+          for (size_t k = pick(3); k > 0; --k) {
+            ASSERT_TRUE(txn.Create(person_, {Value::String("d"), Value::Int(2),
+                                             Value::Null()})
+                            .ok());
+          }
+          for (size_t k = 1 + pick(3); k > 0; --k) {
+            Oid oid = random_oid();
+            ASSERT_TRUE(txn.SetAttr(oid, int_attr(oid), Value::Int(3)).ok());
+          }
+          std::vector<ItemDelta> deltas;
+          deltas.push_back(txn.Take());
+          ASSERT_TRUE(store_.CommitBatch(std::move(deltas)).ok());
+          break;
+        }
+        case 5:
+        case 6:
+          views.push_back(store_.Snapshot());
+          break;
+        case 7:
+          if (!views.empty()) views.erase(views.begin() + pick(views.size()));
+          break;
+        case 8: {  // a bare extent handle, from the head or a held view
+          TypeId type = types[pick(types.size())];
+          auto extent = views.empty() || pick(2) == 0
+                            ? store_.Extent(type)
+                            : views[pick(views.size())].Extent(type);
+          ASSERT_TRUE(extent.ok());
+          extents.push_back(*extent);
+          if (extents.size() > 4) extents.erase(extents.begin());
+          break;
+        }
+        default: {  // several writes in one epoch, grabbing an extent midway
+          for (size_t k = 2 + pick(4); k > 0; --k) {
+            if (pick(2) == 0) {
+              create();
+            } else {
+              set_int();
+            }
+            if (k == 2) extents.push_back(*store_.Extent(types[pick(2)]));
+          }
+          if (extents.size() > 4) extents.erase(extents.begin());
+          break;
+        }
+      }
+      size_t expected = FullWalkRetainedBytes(store_, types, views);
+      ASSERT_EQ(store_.retained_bytes(), expected) << "step " << step;
+      if (expected > 0) ++retaining_steps;
+    }
+    // The walk saw superseded data on a good share of the steps, so the
+    // equality above was not only 0 == 0.
+    EXPECT_GT(retaining_steps, 100u);
+    views.clear();
+    extents.clear();
+    EXPECT_EQ(store_.retained_bytes(), 0u);
+  }
 }
 
 TEST_F(StoreVersionTest, DeltaTxnBuffersWritesWithReadYourWrites) {

@@ -951,12 +951,12 @@ class Shell {
     if (!arg.empty()) {
       return Status::InvalidArgument("usage: \\snapshot");
     }
-    const ObjectStore& store = db().store();
-    std::cout << "epoch:           " << store.epoch() << "\n"
-              << "versions live:   " << store.versions_live() << "\n"
-              << "snapshot pins:   " << store.snapshot_pins() << "\n"
-              << "cow copies:      " << store.cow_copies() << "\n"
-              << "retained bytes:  " << store.retained_bytes() << "\n";
+    const StoreLevels levels = db().store().Levels();
+    std::cout << "epoch:           " << levels.epoch << "\n"
+              << "versions live:   " << levels.versions_live << "\n"
+              << "snapshot pins:   " << levels.snapshot_pins << "\n"
+              << "cow copies:      " << levels.cow_copies << "\n"
+              << "retained bytes:  " << levels.retained_bytes << "\n";
     std::vector<obs::TaskRow> tasks = obs::TaskRegistry::Global().Snapshot();
     if (tasks.empty()) {
       std::cout << "(no queries pinning a snapshot)\n";
